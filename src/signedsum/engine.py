@@ -11,7 +11,10 @@ operators differ only in the admissible vectors:
 
 The fast path is a dynamic program over (element index, weight used) whose
 state value is a dense bitmap of achievable partial sums, held in a Python
-int so transitions are single shift-or operations. The naive path literally
+int so transitions are single shift-or operations. One transition,
+``_step``, serves both the per-set DP and the sweep's prefix walk
+(``prefix_cardinalities``), which extends each shared prefix's rows once
+instead of rerunning the DP for every candidate. The naive path literally
 enumerates every admissible coefficient vector and exists purely to
 cross-check the fast path.
 """
@@ -21,10 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import comb
-
-import numpy as np
+from typing import Iterator
 
 from .sets import IntegerSet
 
@@ -97,8 +98,36 @@ def _check_instance(a: IntegerSet, h: int, op: Operator) -> int:
     return half_width
 
 
-def _shift(bits: int, delta: int) -> int:
-    return bits << delta if delta >= 0 else bits >> -delta
+def _move(row: int, delta: int, signed: bool) -> int:
+    """The sums in ``row`` moved by ``delta``, and also by ``-delta`` when signed."""
+    if signed:
+        delta = abs(delta)
+        return row << delta | row >> delta
+    return row << delta if delta >= 0 else row >> -delta
+
+
+def _step(dp: list[int], a: int, multi: bool, signed: bool,
+          lo: int = 0) -> list[int]:
+    """Offer element ``a`` to the weight rows ``dp``; row w holds the sums of weight w.
+
+    ``multi`` allows coefficients beyond magnitude one and ``signed`` allows
+    negative ones. Rows below weight ``lo`` come back empty: a caller that
+    knows they can no longer reach the target weight drops them.
+    """
+    h = len(dp) - 1
+    ndp = [0] * lo + dp[lo:] if lo > 0 else dp[:]  # lambda = 0 on this element
+    if multi:
+        for w in range(h):
+            src = dp[w]
+            if src:
+                for j in range(max(lo - w, 1), h - w + 1):
+                    ndp[w + j] |= _move(src, j * a, signed)
+    else:
+        for w in range(lo - 1 if lo > 1 else 0, h):
+            src = dp[w]
+            if src:
+                ndp[w + 1] |= _move(src, a, signed)
+    return ndp
 
 
 def _achievable(elements: tuple[int, ...], h: int, op: Operator,
@@ -107,32 +136,22 @@ def _achievable(elements: tuple[int, ...], h: int, op: Operator,
     dp = [0] * (h + 1)
     dp[0] = 1 << half_width
     multi = not op.restricted
-    neg = op.signed
+    signed = op.signed
     for a in elements:
-        ndp = dp[:]  # lambda = 0 on this element
-        for w in range(h):
-            src = dp[w]
-            if not src:
-                continue
-            if multi:
-                for j in range(1, h - w + 1):
-                    ndp[w + j] |= _shift(src, j * a)
-                    if neg:
-                        ndp[w + j] |= _shift(src, -j * a)
-            else:
-                ndp[w + 1] |= _shift(src, a)
-                if neg:
-                    ndp[w + 1] |= _shift(src, -a)
-        dp = ndp
+        dp = _step(dp, a, multi, signed)
     return dp[h]
 
 
 def _decode(bitmap: int, half_width: int) -> list[int]:
+    """The sums in ``bitmap``, ascending, in one scan of its binary digits."""
+    bits = bin(bitmap)
+    top = len(bits) - 1 - half_width  # the digit at index p encodes top - p
     values = []
-    while bitmap:
-        low = (bitmap & -bitmap).bit_length() - 1
-        values.append(low - half_width)
-        bitmap &= bitmap - 1
+    p = bits.find("1", 2)
+    while p >= 0:
+        values.append(top - p)
+        p = bits.find("1", p + 1)
+    values.reverse()
     return values
 
 
@@ -149,10 +168,57 @@ def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
     return _achievable(a.elements, h, op, half_width).bit_count()
 
 
+def prefix_cardinalities(head: tuple[int, ...], h: int, max_element: int,
+                         k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(candidate, |h^+- candidate|)`` for every k-set extending ``head``.
+
+    ``head`` is a non-empty increasing tuple of integers in
+    ``[0, max_element]``. The candidates are ``head`` followed by increasing
+    elements in ``(head[-1], max_element]``, in lexicographic order, and the
+    cardinality is that of the restricted signed sumset. The walk is depth
+    first and keeps the DP rows of each prefix, so a prefix shared by many
+    candidates is processed once. Every bitmap sits at the fixed offset
+    ``h * max_element``, which bounds every partial sum in the space, so the
+    range guard runs once here rather than once per candidate. Rows that can
+    no longer reach weight h are dropped, and at the last element only row h
+    is formed.
+    """
+    if h < 1:
+        raise ValueError("h must be a positive integer")
+    if h > k:
+        raise ValueError("h exceeds |A|")
+    half_width = h * max_element
+    if half_width > MAX_SUM_RANGE:
+        raise ValueError("range overflow")
+    dp = [0] * (h + 1)
+    dp[0] = 1 << half_width
+    for i, a in enumerate(head):
+        dp = _step(dp, a, False, True, h - (k - 1 - i))
+    return _extend(head, dp, h, max_element, k)
+
+
+def _extend(prefix: tuple[int, ...], dp: list[int], h: int, max_element: int,
+            k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    left = k - len(prefix) - 1  # elements still to place after the next one
+    stop = max_element - left + 1
+    if left < 0:
+        yield prefix, dp[h].bit_count()
+    elif left == 0:
+        # the last element: only row h is needed, i.e. _step(dp, a, ..., h)[h]
+        below, row = dp[h - 1], dp[h]
+        for a in range(prefix[-1] + 1, stop):
+            yield prefix + (a,), (_move(below, a, True) | row).bit_count()
+    else:
+        for a in range(prefix[-1] + 1, stop):
+            yield from _extend(prefix + (a,),
+                               _step(dp, a, False, True, h - left),
+                               h, max_element, k)
+
+
 # --- naive oracle -----------------------------------------------------------
 
 def naive_vector_count(k: int, h: int, op: Operator) -> int:
-    """Number of admissible coefficient vectors the naive path will visit."""
+    """Number of admissible coefficient vectors, the naive path's work."""
     if op is Operator.CLASSICAL:
         return comb(k + h - 1, h)
     if op is Operator.RESTRICTED:
@@ -163,19 +229,27 @@ def naive_vector_count(k: int, h: int, op: Operator) -> int:
                for s in range(1, min(h, k) + 1))
 
 
-@lru_cache(maxsize=None)
-def _sign_matrix(s: int) -> np.ndarray:
-    rows = list(itertools.product((1, -1), repeat=s))
-    return np.array(rows, dtype=np.int64)
+def _signed_support_sums(support: tuple[int, ...], h: int) -> list[int]:
+    """Sum(lambda_i * x_i) for each coefficient vector on ``support`` with every
+    lambda_i nonzero, Sum(|lambda_i|) = h and lambda_1 > 0, one entry per vector.
 
-
-def _compositions(h: int, s: int) -> np.ndarray:
-    """All s-tuples of positive integers summing to h, one per row."""
-    rows = []
-    for cuts in itertools.combinations(range(1, h), s - 1):
-        bounds = (0,) + cuts + (h,)
-        rows.append([bounds[i + 1] - bounds[i] for i in range(s)])
-    return np.array(rows, dtype=np.int64)
+    The magnitudes run over the compositions of h into len(support) parts,
+    each extended by every sign pattern; vectors sharing leading coefficients
+    share their partial sums.
+    """
+    level = {h: [0]}  # weight left to spend -> one partial sum per partial vector
+    last = len(support) - 1
+    for i, x in enumerate(support):
+        nxt: dict[int, list[int]] = {}
+        for left, partial in level.items():
+            for c in (left,) if i == last else range(1, left - (last - i) + 1):
+                m = c * x
+                out = nxt.setdefault(left - c, [])
+                out += [p + m for p in partial]
+                if i:
+                    out += [p - m for p in partial]
+        level = nxt
+    return level[0]
 
 
 def compute_sumset_naive(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
@@ -200,11 +274,9 @@ def compute_sumset_naive(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
             for signs in itertools.product((1, -1), repeat=h):
                 sums.add(sum(s * x for s, x in zip(signs, support)))
     else:
-        # one batch per support: (compositions * support) x sign patterns
+        # the vectors with lambda_1 < 0 negate those with lambda_1 > 0
         for s in range(1, min(h, a.k) + 1):
-            signs_t = _sign_matrix(s).T
-            comps = _compositions(h, s)
             for support in itertools.combinations(elements, s):
-                prods = comps * np.asarray(support, dtype=np.int64)
-                sums.update((prods @ signs_t).ravel().tolist())
+                sums.update(_signed_support_sums(support, h))
+        sums.update([-x for x in sums])
     return SumsetResult.from_sorted(sorted(sums))

@@ -4,8 +4,13 @@ A sweep visits every candidate set of a search space in lexicographic
 order, measures its restricted signed sumset against the family's optimal
 bound, and harvests the equality cases (the extremal sets) and any
 violations (each one a counterexample). Work is partitioned into shards by
-the smallest free element, so shards can run in parallel and merge in a
-fixed order; summaries are identical for any worker count, including 1.
+the two smallest free elements, so shards are small and even, run in
+parallel and merge in a fixed order; summaries and the record stream are
+identical for any worker count, including 1, and each shard's records are
+passed on as soon as it and every earlier shard are done. Within a shard
+the engine walks the candidates depth first
+(:func:`~signedsum.engine.prefix_cardinalities`), extending the DP rows of
+each shared prefix once rather than rerunning the DP for every candidate.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd
 from typing import Callable, Iterator
 
 from . import bounds
-from .engine import Operator, sumset_cardinality
+from .engine import prefix_cardinalities
 from .sets import IntegerSet, StructureClass, classify_structure
 from .verify import check_direct
 
@@ -53,10 +59,14 @@ class SearchSpace:
                 f"search requires 3 <= h <= k-1, got h={self.h}, k={self.k}")
         if self.filter_id not in FILTER_IDS:
             raise ValueError(f"unknown filter {self.filter_id!r}")
-        free = self.k if self.family is Family.POSITIVE else self.k - 1
-        if self.max_element < free:
+        if self.max_element < self.free:
             raise ValueError("space smaller than k")
         self.bound()  # validates the family's (h, k) window
+
+    @property
+    def free(self) -> int:
+        """Number of elements chosen from [1, M]; the zero family fixes 0."""
+        return self.k if self.family is Family.POSITIVE else self.k - 1
 
     def bound(self) -> bounds.BoundFormula:
         if self.family is Family.POSITIVE:
@@ -64,22 +74,21 @@ class SearchSpace:
         return bounds.optimal_bound_zero(self.h, self.k)
 
     def size(self) -> int:
-        free = self.k if self.family is Family.POSITIVE else self.k - 1
-        return comb(self.max_element, free)
+        return comb(self.max_element, self.free)
 
-    def shard_keys(self) -> list[int]:
-        """Smallest free element of each shard, in lexicographic order."""
-        free = self.k if self.family is Family.POSITIVE else self.k - 1
-        return list(range(1, self.max_element - free + 2))
+    def shard_keys(self) -> list[tuple[int, ...]]:
+        """Head of each shard, in lexicographic order: the two smallest free
+        elements, after 0 in the zero-based family."""
+        fixed = () if self.family is Family.POSITIVE else (0,)
+        top = self.max_element - self.free + 2  # room for the other elements
+        return [fixed + pair
+                for pair in itertools.combinations(range(1, top + 1), 2)]
 
-    def shard_candidates(self, key: int) -> Iterator[tuple[int, ...]]:
-        m = self.max_element
-        if self.family is Family.POSITIVE:
-            for rest in itertools.combinations(range(key + 1, m + 1), self.k - 1):
-                yield (key,) + rest
-        else:
-            for rest in itertools.combinations(range(key + 1, m + 1), self.k - 2):
-                yield (0, key) + rest
+    def shard_candidates(self, key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Every candidate that starts with the shard head ``key``."""
+        rest = range(key[-1] + 1, self.max_element + 1)
+        for tail in itertools.combinations(rest, self.k - len(key)):
+            yield key + tail
 
     def candidates(self) -> Iterator[tuple[int, ...]]:
         for key in self.shard_keys():
@@ -158,30 +167,29 @@ def _passes_filter(space: SearchSpace, candidate: tuple[int, ...]) -> bool:
     return True
 
 
-def _sweep_shard(args: tuple[SearchSpace, int, str]
+def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], str]
                  ) -> tuple[int, int | None, list[SearchRecord], list[SearchRecord],
                             list[SearchRecord]]:
     """Visit one shard; returns (visited, min_card, equalities, violations, emitted)."""
     space, key, emit = args
     bound_value = space.bound().value
-    h = space.h
     visited = 0
     min_card: int | None = None
     equalities: list[SearchRecord] = []
     violations: list[SearchRecord] = []
     emitted: list[SearchRecord] = []
-    for candidate in space.shard_candidates(key):
+    for candidate, card in prefix_cardinalities(key, space.h, space.max_element,
+                                                space.k):
         if not _passes_filter(space, candidate):
             continue
         visited += 1
-        a = IntegerSet(candidate)
-        card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
         if min_card is None or card < min_card:
             min_card = card
         slack = card - bound_value
         interesting = slack <= 0
         if not interesting and emit != "all":
             continue
+        a = IntegerSet(candidate)
         record = SearchRecord(a, card, slack, slack == 0, classify_structure(a))
         if record.equality:
             equalities.append(record)
@@ -202,7 +210,9 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     order; ``emit`` selects all records, only equality/violation records,
     or none. With ``workers > 1`` shards run in separate processes and
     their records are replayed in shard order, so results and callback
-    order do not depend on the worker count.
+    order do not depend on the worker count. A shard is merged, and its
+    records passed to ``on_record``, as soon as it and every earlier shard
+    are done, so records are not held until the whole sweep ends.
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
@@ -211,25 +221,25 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
         raise ValueError(
             f"budget exceeded: {size} candidate sets > budget {budget}")
     args = [(space, key, emit) for key in space.shard_keys()]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shard_results = list(pool.map(_sweep_shard, args))
-    else:
-        shard_results = [_sweep_shard(arg) for arg in args]
-
     visited = 0
     min_card: int | None = None
     equality_sets: list[SearchRecord] = []
     violations: list[SearchRecord] = []
-    for shard_visited, shard_min, eqs, viols, emitted in shard_results:
-        visited += shard_visited
-        if shard_min is not None and (min_card is None or shard_min < min_card):
-            min_card = shard_min
-        equality_sets.extend(eqs)
-        violations.extend(viols)
-        if on_record is not None:
-            for record in emitted:
-                on_record(record)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        # either map yields each shard's result in shard order once it is done
+        shard_results = (map(_sweep_shard, args) if pool is None
+                         else pool.map(_sweep_shard, args))
+        for shard_visited, shard_min, eqs, viols, emitted in shard_results:
+            visited += shard_visited
+            if shard_min is not None and (min_card is None
+                                          or shard_min < min_card):
+                min_card = shard_min
+            equality_sets.extend(eqs)
+            violations.extend(viols)
+            if on_record is not None:
+                for record in emitted:
+                    on_record(record)
     return SweepSummary(space, visited, min_card, len(equality_sets),
                         len(violations), equality_sets, violations)
 

@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from signedsum import (Operator, compute_sumset, compute_sumset_naive,
-                       contains_zero, dilate, make_set, sumset_cardinality)
-from signedsum.engine import naive_vector_count
+from signedsum import (IntegerSet, Operator, compute_sumset,
+                       compute_sumset_naive, contains_zero, dilate, make_set,
+                       sumset_cardinality)
+from signedsum.engine import _decode, naive_vector_count, prefix_cardinalities
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -190,3 +192,87 @@ class TestStructuralProperties:
             "sums": list(result.sums),
         }
         assert "sums" not in result.to_dict(a, 2, RS)
+
+
+class TestPrefixWalk:
+    @staticmethod
+    def heads(max_element, k, zero_based):
+        fixed = (0,) if zero_based else ()
+        free = k - len(fixed)
+        for pair in itertools.combinations(range(1, max_element - free + 3), 2):
+            yield fixed + pair
+
+    def test_matches_per_set_dp_on_small_spaces(self):
+        for zero_based in (False, True):
+            for k in range(4, 8):
+                free = k - 1 if zero_based else k
+                for max_element in (free, free + 1, free + 4):
+                    for h in range(1, k + 1):
+                        for head in self.heads(max_element, k, zero_based):
+                            walked = list(prefix_cardinalities(
+                                head, h, max_element, k))
+                            tails = itertools.combinations(
+                                range(head[-1] + 1, max_element + 1),
+                                k - len(head))
+                            expected = [
+                                (head + t, sumset_cardinality(
+                                    IntegerSet(head + t), h, RS))
+                                for t in tails]
+                            assert walked == expected, (head, h, max_element, k)
+
+    def test_head_may_be_short_or_whole(self):
+        for head in ((3,), (0, 2, 5, 6)):
+            walked = list(prefix_cardinalities(head, 3, 9, 4))
+            tails = itertools.combinations(range(head[-1] + 1, 10),
+                                           4 - len(head))
+            assert walked == [(head + t, sumset_cardinality(
+                IntegerSet(head + t), 3, RS)) for t in tails]
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="positive"):
+            prefix_cardinalities((1, 2), 0, 10, 4)
+        with pytest.raises(ValueError, match="h exceeds"):
+            prefix_cardinalities((1, 2), 5, 10, 4)
+        with pytest.raises(ValueError, match="range overflow"):
+            prefix_cardinalities((1, 2), 4, 2**39, 5)
+
+
+def _decode_by_lowest_bit(bitmap, half_width):
+    """The former decoder: clear the lowest set bit once per sum."""
+    values = []
+    while bitmap:
+        low = (bitmap & -bitmap).bit_length() - 1
+        values.append(low - half_width)
+        bitmap &= bitmap - 1
+    return values
+
+
+class TestDecode:
+    def test_matches_lowest_bit_decoder(self):
+        rng = random.Random(2403)
+        for _ in range(200):
+            width = rng.randint(1, 4000)
+            bitmap = rng.getrandbits(width)
+            half_width = rng.randint(0, width)  # sums below and above 0
+            assert (_decode(bitmap, half_width)
+                    == _decode_by_lowest_bit(bitmap, half_width))
+        assert _decode(0, 5) == []
+
+    def test_wide_sparse_bitmap(self):
+        rng = random.Random(7)
+        positions = sorted(rng.sample(range(1_200_000), 300)) + [1_200_001]
+        bitmap = sum(1 << p for p in positions)
+        half_width = 600_000
+        assert _decode(bitmap, half_width) == [p - half_width
+                                               for p in positions]
+        assert (_decode(bitmap, half_width)
+                == _decode_by_lowest_bit(bitmap, half_width))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(-25, 25), min_size=1, max_size=7, unique=True),
+       st.integers(1, 9))
+def test_signed_oracle_matches_dp(elements, h):
+    a = make_set(elements)
+    assert (compute_sumset_naive(a, h, Operator.SIGNED).sums
+            == compute_sumset(a, h, Operator.SIGNED).sums)

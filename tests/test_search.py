@@ -1,7 +1,9 @@
+from math import gcd
+
 import pytest
 
-from signedsum import (Family, SearchSpace, StructureKind, random_probe,
-                       sweep)
+from signedsum import (Family, Operator, SearchSpace, StructureKind,
+                       random_probe, search, sumset_cardinality, sweep)
 from signedsum.search import CSV_HEADER
 
 
@@ -155,3 +157,86 @@ class TestRandomProbe:
         space = SearchSpace(k=6, h=4, max_element=30, family=Family.POSITIVE)
         with pytest.raises(ValueError, match="trials"):
             random_probe(space, 0, seed=1)
+
+
+SMALL_SPACES = [
+    SearchSpace(k=5, h=4, max_element=11, family=Family.POSITIVE),
+    SearchSpace(k=5, h=3, max_element=10, family=Family.POSITIVE,
+                filter_id="primitive"),
+    SearchSpace(k=6, h=5, max_element=12, family=Family.ZERO_BASED),
+    SearchSpace(k=6, h=4, max_element=12, family=Family.ZERO_BASED,
+                filter_id="primitive"),
+    SearchSpace(k=6, h=5, max_element=6, family=Family.POSITIVE),     # M = free
+    SearchSpace(k=7, h=5, max_element=6, family=Family.ZERO_BASED),   # M = free
+]
+
+
+def _record_stream(space, workers):
+    records = []
+    summary = sweep(space, workers=workers, emit="all",
+                    on_record=lambda r: records.append(r.to_dict()))
+    return summary.to_dict(), records
+
+
+class TestPrefixSharedSweep:
+    @pytest.mark.parametrize("space", SMALL_SPACES)
+    def test_every_record_matches_the_per_set_dp(self, space):
+        records = []
+        summary = sweep(space, emit="all", on_record=records.append)
+        kept = [c for c in space.candidates()
+                if space.filter_id is None or gcd(*c) == 1]
+        assert [r.set.elements for r in records] == kept
+        assert summary.visited == len(kept)
+        bound = space.bound().value
+        for r in records:
+            card = sumset_cardinality(r.set, space.h, Operator.RESTRICTED_SIGNED)
+            assert r.cardinality == card
+            assert r.slack == card - bound
+        assert summary.min_cardinality == min(r.cardinality for r in records)
+
+    def test_shard_keys_are_two_element_heads(self):
+        positive = SearchSpace(k=7, h=5, max_element=20, family=Family.POSITIVE)
+        keys = positive.shard_keys()
+        assert keys == sorted(keys)
+        assert keys[0] == (1, 2) and keys[-1] == (14, 15)
+        zero = SearchSpace(k=7, h=5, max_element=21, family=Family.ZERO_BASED)
+        assert zero.shard_keys()[0] == (0, 1, 2)
+        assert zero.shard_keys()[-1] == (0, 16, 17)
+        for space in (positive, zero):
+            joined = [c for key in space.shard_keys()
+                      for c in space.shard_candidates(key)]
+            assert joined == list(space.candidates())
+
+    def test_largest_shard_is_small(self):
+        space = SearchSpace(k=7, h=5, max_element=20, family=Family.POSITIVE)
+        sizes = [sum(1 for _ in space.shard_candidates(key))
+                 for key in space.shard_keys()]
+        assert sum(sizes) == space.size() == 77520
+        assert max(sizes) / sum(sizes) < 0.12
+
+    @pytest.mark.parametrize("space", [
+        SearchSpace(k=5, h=4, max_element=12, family=Family.POSITIVE),
+        SearchSpace(k=6, h=4, max_element=13, family=Family.ZERO_BASED,
+                    filter_id="primitive"),
+    ])
+    def test_worker_count_does_not_change_summary_or_stream(self, space):
+        first = _record_stream(space, 1)
+        assert _record_stream(space, 2) == first
+        assert _record_stream(space, 3) == first
+
+    def test_records_stream_before_the_last_shard_runs(self, monkeypatch):
+        space = SearchSpace(k=5, h=4, max_element=10, family=Family.POSITIVE)
+        shards_run = 0
+        shard = search._sweep_shard
+
+        def counted(args):
+            nonlocal shards_run
+            shards_run += 1
+            return shard(args)
+
+        monkeypatch.setattr(search, "_sweep_shard", counted)
+        seen_at: list[int] = []
+        sweep(space, emit="all", on_record=lambda r: seen_at.append(shards_run))
+        assert shards_run == len(space.shard_keys()) > 1
+        assert seen_at[0] == 1
+        assert seen_at == sorted(seen_at)
