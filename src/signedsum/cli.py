@@ -2,7 +2,9 @@
 
 Exit codes: 0 means every checked conclusion holds, 1 means a mathematical
 counterexample was found (the offending sets are dumped in plain text and
-JSON regardless of format flags), 2 means a usage or hypothesis error.
+JSON regardless of format flags), 2 means a usage or hypothesis error, and
+141 (128 + SIGPIPE) means the reader closed the output pipe early, as
+``| head`` does, so the run stopped without a verdict.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ def _check_direct(a: IntegerSet, h: int, as_json: bool) -> int:
 
 
 def _check_inverse(a: IntegerSet, h: int, as_json: bool) -> int:
-    report = check_direct(a, h)
     verdict = check_inverse(a, h)
+    report = verdict.report
     if as_json:
         out = report.to_dict(verdict.predicted_structure)
         out["structure_matches"] = verdict.structure_matches
@@ -330,13 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_PIPE_CLOSED = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Output still buffered for the closed pipe would fail again when
+        # the interpreter flushes stdout on exit; send it to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
 
 
 if __name__ == "__main__":

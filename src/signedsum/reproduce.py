@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import bounds
-from .engine import Operator, compute_sumset, sumset_cardinality
+from .engine import Operator, compute_sumset, prefix_cardinalities
 from .search import Family, SearchSpace, sweep
 from .sets import IntegerSet
 from .verify import check_ap_iff, check_prefix_decomposition
@@ -135,18 +135,16 @@ def theorem11_small() -> list[TargetRow]:
                 bound = bounds.general_bound(h, k, zero_in_a).value
                 violations = 0
                 equalities = 0
-                if zero_in_a:
-                    candidates = ((0,) + rest for rest in
-                                  itertools.combinations(range(1, 12), k - 1))
-                else:
-                    candidates = itertools.combinations(range(1, 13), k)
-                for candidate in candidates:
-                    card = sumset_cardinality(IntegerSet(candidate), h,
-                                              Operator.RESTRICTED_SIGNED)
-                    if card < bound:
-                        violations += 1
-                    elif card == bound:
-                        equalities += 1
+                # the k-subsets of [1, 12], or {0} plus (k-1)-subsets of [1, 11]
+                m = 11 if zero_in_a else 12
+                heads = ([(0,)] if zero_in_a
+                         else [(a,) for a in range(1, m - k + 2)])
+                for head in heads:
+                    for _, card in prefix_cardinalities(head, h, m, k):
+                        if card < bound:
+                            violations += 1
+                        elif card == bound:
+                            equalities += 1
                 branch = "0 in A" if zero_in_a else "0 not in A"
                 rows.append(TargetRow(
                     f"h={h} k={k} ({branch}): no violations and equality attained",

@@ -11,6 +11,9 @@ passed on as soon as it and every earlier shard are done. Within a shard
 the engine walks the candidates depth first
 (:func:`~signedsum.engine.prefix_cardinalities`), extending the DP rows of
 each shared prefix once rather than rerunning the DP for every candidate.
+A shard returns plain ``(candidate, cardinality)`` rows, so only ints and
+tuples of ints cross the process boundary, and each record is built once,
+in the parent, while the shards are merged.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, gcd
@@ -126,7 +128,7 @@ class SearchRecord:
     def to_csv_row(self) -> str:
         d = "" if self.structure.d is None else str(self.structure.d)
         return ";".join([
-            ",".join(str(x) for x in self.set.elements),
+            ",".join(map(str, self.set.elements)),
             str(self.cardinality),
             str(self.slack),
             "true" if self.equality else "false",
@@ -168,16 +170,20 @@ def _passes_filter(space: SearchSpace, candidate: tuple[int, ...]) -> bool:
 
 
 def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], str]
-                 ) -> tuple[int, int | None, list[SearchRecord], list[SearchRecord],
-                            list[SearchRecord]]:
-    """Visit one shard; returns (visited, min_card, equalities, violations, emitted)."""
+                 ) -> tuple[int, int | None, list[tuple[tuple[int, ...], int]]]:
+    """Visit one shard; returns (visited, min_card, rows).
+
+    ``rows`` holds plain ``(candidate, cardinality)`` pairs in walk order:
+    every visited candidate when ``emit`` is "all", otherwise only those at
+    or below the bound. Only ints and tuples of ints cross the process
+    boundary; the records are built in the parent.
+    """
     space, key, emit = args
+    keep_all = emit == "all"
     bound_value = space.bound().value
     visited = 0
     min_card: int | None = None
-    equalities: list[SearchRecord] = []
-    violations: list[SearchRecord] = []
-    emitted: list[SearchRecord] = []
+    rows: list[tuple[tuple[int, ...], int]] = []
     for candidate, card in prefix_cardinalities(key, space.h, space.max_element,
                                                 space.k):
         if not _passes_filter(space, candidate):
@@ -185,19 +191,9 @@ def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], str]
         visited += 1
         if min_card is None or card < min_card:
             min_card = card
-        slack = card - bound_value
-        interesting = slack <= 0
-        if not interesting and emit != "all":
-            continue
-        a = IntegerSet(candidate)
-        record = SearchRecord(a, card, slack, slack == 0, classify_structure(a))
-        if record.equality:
-            equalities.append(record)
-        elif slack < 0:
-            violations.append(record)
-        if emit == "all" or (emit == "interesting" and interesting):
-            emitted.append(record)
-    return visited, min_card, equalities, violations, emitted
+        if keep_all or card <= bound_value:
+            rows.append((candidate, card))
+    return visited, min_card, rows
 
 
 def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
@@ -208,11 +204,13 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     Raises before starting if the space exceeds ``budget`` candidate sets.
     ``on_record`` receives emitted records in deterministic (lexicographic)
     order; ``emit`` selects all records, only equality/violation records,
-    or none. With ``workers > 1`` shards run in separate processes and
-    their records are replayed in shard order, so results and callback
-    order do not depend on the worker count. A shard is merged, and its
-    records passed to ``on_record``, as soon as it and every earlier shard
-    are done, so records are not held until the whole sweep ends.
+    or none. With ``workers > 1`` shards run in separate processes. Either
+    way a shard returns only ``(candidate, cardinality)`` rows, and each
+    record is built once, here, while the shards are merged in shard
+    order, so results and callback order do not depend on the worker
+    count. A shard is merged, and its records passed to ``on_record``, as
+    soon as it and every earlier shard are done, so records are not held
+    until the whole sweep ends.
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
@@ -221,25 +219,40 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
         raise ValueError(
             f"budget exceeded: {size} candidate sets > budget {budget}")
     args = [(space, key, emit) for key in space.shard_keys()]
+    bound_value = space.bound().value
+    emitting = on_record is not None and emit != "none"
     visited = 0
     min_card: int | None = None
     equality_sets: list[SearchRecord] = []
     violations: list[SearchRecord] = []
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or nullcontext():
+    try:
         # either map yields each shard's result in shard order once it is done
         shard_results = (map(_sweep_shard, args) if pool is None
                          else pool.map(_sweep_shard, args))
-        for shard_visited, shard_min, eqs, viols, emitted in shard_results:
+        for shard_visited, shard_min, rows in shard_results:
             visited += shard_visited
             if shard_min is not None and (min_card is None
                                           or shard_min < min_card):
                 min_card = shard_min
-            equality_sets.extend(eqs)
-            violations.extend(viols)
-            if on_record is not None:
-                for record in emitted:
+            for candidate, card in rows:
+                slack = card - bound_value
+                if slack > 0 and not emitting:
+                    continue
+                a = IntegerSet(candidate)
+                record = SearchRecord(a, card, slack, slack == 0,
+                                      classify_structure(a))
+                if slack == 0:
+                    equality_sets.append(record)
+                elif slack < 0:
+                    violations.append(record)
+                if emitting:
                     on_record(record)
+    finally:
+        if pool is not None:
+            # after an error, such as a closed output pipe, queued shards
+            # are dropped rather than run for nobody
+            pool.shutdown(cancel_futures=True)
     return SweepSummary(space, visited, min_card, len(equality_sets),
                         len(violations), equality_sets, violations)
 

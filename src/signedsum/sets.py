@@ -32,6 +32,9 @@ class StructureClass:
         return {"kind": self.kind.value, "d": self.d}
 
 
+_NOT_STRUCTURED = StructureClass(StructureKind.NONE)  # immutable, so shared
+
+
 @dataclass(frozen=True)
 class IntegerSet:
     """Strictly increasing tuple of distinct integers.
@@ -126,18 +129,26 @@ def is_arithmetic_progression(a: IntegerSet) -> bool:
 def classify_structure(a: IntegerSet) -> StructureClass:
     """Match a set against the extremal families; requires k >= 2.
 
-    The dilate kinds take precedence over GENERAL_AP. Dilation factors are
-    restricted to positive integers, so sets with negative elements never
-    match any family and classify as NONE.
+    Every family is an arithmetic progression, so a set whose gaps are not
+    constant is NONE after one pass over them. The dilate kinds take
+    precedence over GENERAL_AP. Dilation factors are restricted to positive
+    integers, so sets with negative elements never match any family and
+    classify as NONE.
     """
-    if a.k < 2:
-        raise ValueError("classification undefined for k < 2")
     e = a.elements
-    d = e[0]
-    if d >= 1 and all(x == (2 * i + 1) * d for i, x in enumerate(e)):
-        return StructureClass(StructureKind.ODD_AP_DILATE, d)
-    if e[0] == 0 and all(x == i * e[1] for i, x in enumerate(e)):
-        return StructureClass(StructureKind.ZERO_AP_DILATE, e[1])
-    if e[0] >= 0 and is_arithmetic_progression(a):
-        return StructureClass(StructureKind.GENERAL_AP, e[1] - e[0])
-    return StructureClass(StructureKind.NONE)
+    if len(e) < 2:
+        raise ValueError("classification undefined for k < 2")
+    first = e[0]
+    step = e[1] - first
+    prev = e[1]
+    for x in e[2:]:
+        if x - prev != step:
+            return _NOT_STRUCTURED
+        prev = x
+    if first < 0:
+        return _NOT_STRUCTURED
+    if first > 0 and step == 2 * first:  # d * {1, 3, ..., 2k-1}
+        return StructureClass(StructureKind.ODD_AP_DILATE, first)
+    if first == 0:  # d * {0, 1, ..., k-1}
+        return StructureClass(StructureKind.ZERO_AP_DILATE, step)
+    return StructureClass(StructureKind.GENERAL_AP, step)

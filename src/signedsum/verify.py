@@ -60,11 +60,13 @@ class InverseVerdict:
     """Outcome of testing the inverse direction on a single set.
 
     ``structure_matches`` is defined only when the bound is attained.
+    ``report`` is the direct measurement the verdict rests on.
     """
 
     equality_holds: bool
     predicted_structure: StructureClass
     structure_matches: bool | None
+    report: BoundReport
 
     def to_dict(self) -> dict:
         return {
@@ -203,7 +205,7 @@ def check_inverse(a: IntegerSet, h: int) -> InverseVerdict:
     matches: bool | None = None
     if report.equality:
         matches = structure.kind is _expected_kind(family_of(a))
-    return InverseVerdict(report.equality, structure, matches)
+    return InverseVerdict(report.equality, structure, matches, report)
 
 
 def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionReport:

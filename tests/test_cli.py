@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from signedsum import cli, verify
 from signedsum.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +117,22 @@ class TestCheckCommand:
         assert "COUNTEREXAMPLE" in out
         assert '{"counterexample": [0, 1, 2, 4, 6]}' in out
 
+    def test_inverse_measures_the_set_once(self, capsys, monkeypatch):
+        calls = []
+        measure = verify.check_direct
+
+        def counted(a, h):
+            calls.append(a.elements)
+            return measure(a, h)
+
+        monkeypatch.setattr(verify, "check_direct", counted)
+        monkeypatch.setattr(cli, "check_direct", counted)
+        code, out, _ = run_cli(capsys, "check", "--set", "0,2,4,6,8",
+                               "--h", "4", "--theorem", "inverse", "--json")
+        assert code == 0
+        assert json.loads(out)["cardinality"] == 21
+        assert calls == [(0, 2, 4, 6, 8)]
+
     def test_lemma_decomposition(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--set", "1,3,5,7,9,11",
                                "--h", "4", "--theorem", "lemma-decomposition")
@@ -183,6 +206,36 @@ class TestSweepCommand:
         content = path.read_text().splitlines()
         assert content[0] == "set;cardinality;slack;equality;structure_kind;d"
         assert len(content) > 1
+
+    def test_csv_stdout_does_not_depend_on_threads(self, capsys):
+        argv = ("sweep", "--k", "6", "--h", "4", "--max", "13",
+                "--family", "zero-based", "--primitive-only", "--emit", "all",
+                "--csv", "-", "--json", "--threads")
+        code, one, _ = run_cli(capsys, *argv, "1")
+        assert code == 0
+        assert len(one.splitlines()) > 100
+        assert run_cli(capsys, *argv, "2") == (0, one, "")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_csv_into_closed_pipe_exits_141_quietly(self, tmp_path, threads):
+        # about 650 kB of CSV, far more than a pipe buffers, so the writer
+        # meets the closed pipe while it runs
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        err_path = tmp_path / "stderr.txt"
+        with open(err_path, "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "signedsum.cli", "sweep", "--k", "6",
+                 "--h", "4", "--max", "18", "--emit", "all", "--csv", "-",
+                 "--threads", threads],
+                stdout=subprocess.PIPE, stderr=err, env=env)
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        assert header == b"set;cardinality;slack;equality;structure_kind;d\n"
+        assert code == cli.EXIT_PIPE_CLOSED == 141
+        assert err_path.read_text() == ""
 
     def test_budget_flag(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--k", "5", "--h", "4",

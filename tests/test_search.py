@@ -171,9 +171,9 @@ SMALL_SPACES = [
 ]
 
 
-def _record_stream(space, workers):
+def _record_stream(space, workers, emit):
     records = []
-    summary = sweep(space, workers=workers, emit="all",
+    summary = sweep(space, workers=workers, emit=emit,
                     on_record=lambda r: records.append(r.to_dict()))
     return summary.to_dict(), records
 
@@ -220,9 +220,29 @@ class TestPrefixSharedSweep:
                     filter_id="primitive"),
     ])
     def test_worker_count_does_not_change_summary_or_stream(self, space):
-        first = _record_stream(space, 1)
-        assert _record_stream(space, 2) == first
-        assert _record_stream(space, 3) == first
+        for emit in ("all", "interesting", "none"):
+            first = _record_stream(space, 1, emit)
+            assert _record_stream(space, 2, emit) == first
+            assert _record_stream(space, 3, emit) == first
+            assert first[0]["equality_count"] >= 1
+            assert (first[1] == []) == (emit == "none")
+
+    @pytest.mark.parametrize("emit", ["all", "interesting", "none"])
+    def test_shards_return_only_ints_and_int_tuples(self, emit):
+        space = SearchSpace(k=6, h=4, max_element=12, family=Family.ZERO_BASED,
+                            filter_id="primitive")
+        bound = space.bound().value
+        rows_seen = 0
+        for key in space.shard_keys():
+            visited, min_card, rows = search._sweep_shard((space, key, emit))
+            assert type(visited) is int and type(min_card) in (int, type(None))
+            for candidate, card in rows:
+                assert type(candidate) is tuple
+                assert all(type(x) is int for x in candidate)
+                assert type(card) is int
+                assert emit == "all" or card <= bound
+            rows_seen += len(rows)
+        assert rows_seen > 0
 
     def test_records_stream_before_the_last_shard_runs(self, monkeypatch):
         space = SearchSpace(k=5, h=4, max_element=10, family=Family.POSITIVE)

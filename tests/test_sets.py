@@ -1,7 +1,23 @@
+import itertools
+
 import pytest
 
-from signedsum import (IntegerSet, StructureKind, classify_structure, dilate,
-                       gaps, is_arithmetic_progression, make_set)
+from signedsum import (IntegerSet, StructureClass, StructureKind,
+                       classify_structure, dilate, gaps,
+                       is_arithmetic_progression, make_set)
+
+
+def classify_reference(a: IntegerSet) -> StructureClass:
+    """The family-by-family definition that classify_structure must equal."""
+    e = a.elements
+    d = e[0]
+    if d >= 1 and all(x == (2 * i + 1) * d for i, x in enumerate(e)):
+        return StructureClass(StructureKind.ODD_AP_DILATE, d)
+    if e[0] == 0 and all(x == i * e[1] for i, x in enumerate(e)):
+        return StructureClass(StructureKind.ZERO_AP_DILATE, e[1])
+    if e[0] >= 0 and is_arithmetic_progression(a):
+        return StructureClass(StructureKind.GENERAL_AP, e[1] - e[0])
+    return StructureClass(StructureKind.NONE)
 
 
 class TestMakeSet:
@@ -125,6 +141,23 @@ class TestClassifyStructure:
         a = make_set(base)
         for c in (1, 2, 3, 7):
             assert classify_structure(dilate(a, c)).kind is kind
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_reference_on_small_subsets_and_dilates(self, k):
+        for subset in itertools.combinations(range(-6, 13), k):
+            a = IntegerSet(subset)
+            for c in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
+                b = dilate(a, c)
+                assert classify_structure(b) == classify_reference(b), b
+
+    def test_matches_reference_on_extremal_families(self):
+        for k in range(2, 10):
+            for d in range(1, 8):
+                for elements in (tuple((2 * i + 1) * d for i in range(k)),
+                                 tuple(i * d for i in range(k))):
+                    a = IntegerSet(elements)
+                    assert classify_structure(a) == classify_reference(a)
+                    assert classify_structure(a).kind is not StructureKind.NONE
 
     def test_odd_dilate_gap_and_min_relation(self):
         a = make_set([3, 9, 15, 21])

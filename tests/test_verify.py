@@ -85,6 +85,7 @@ class TestCheckInverse:
     def test_equality_matches_odd_dilate(self):
         verdict = check_inverse(make_set([2, 6, 10, 14, 18]), 4)
         assert verdict.equality_holds
+        assert verdict.report == check_direct(make_set([2, 6, 10, 14, 18]), 4)
         assert verdict.predicted_structure.kind is StructureKind.ODD_AP_DILATE
         assert verdict.predicted_structure.d == 2
         assert verdict.structure_matches is True
