@@ -75,6 +75,17 @@ def optimal_bound_zero(h: int, k: int) -> BoundFormula:
         "k >= 5 nonnegative elements with 0 in A, 3 <= h <= k-1", sharp=True)
 
 
+def optimal_bound(h: int, k: int, zero_in_a: bool) -> BoundFormula:
+    """The optimal bound of A's family: zero-based when 0 is in A."""
+    return optimal_bound_zero(h, k) if zero_in_a else optimal_bound_positive(h, k)
+
+
+def prefix_base(h: int, zero_in_a: bool) -> int:
+    """|h^+-P| for the extremal (h+1)-element prefix P of A's family:
+    (h+1)^2 for {1, 3, ..., 2h+1}, h(h+1) + 1 for {0, 1, ..., h}."""
+    return h * (h + 1) + 1 if zero_in_a else (h + 1) ** 2
+
+
 def ap_cardinality_bound(h: int, k: int, d_is_twice_min: bool) -> int:
     """Cardinality of |h^+-A| for a k-term positive arithmetic progression.
 

@@ -2,9 +2,10 @@
 
 Exit codes: 0 means every checked conclusion holds, 1 means a mathematical
 counterexample was found (the offending sets are dumped in plain text and
-JSON regardless of format flags), 2 means a usage or hypothesis error, and
-141 (128 + SIGPIPE) means the reader closed the output pipe early, as
-``| head`` does, so the run stopped without a verdict.
+JSON regardless of format flags), 2 means a usage or hypothesis error or
+a path that cannot be read or written, and 141 (128 + SIGPIPE) means the
+reader closed the output pipe early, as ``| head`` does, so the run
+stopped without a verdict.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .verify import (check_ap_iff, check_direct, check_inverse,
 
 OPERATORS = {op.value: op for op in Operator}
 FAMILIES = {f.value: f for f in Family}
-THEOREMS = ("direct", "inverse", "lemma-decomposition", "partial-inverse",
-            "special-direct", "ap")
 
 
 def _parse_set(args: argparse.Namespace) -> IntegerSet:
@@ -46,170 +45,142 @@ def _add_set_arguments(parser: argparse.ArgumentParser) -> None:
                         help="file with one integer per line")
 
 
-def _dump_counterexamples(sets: list[IntegerSet]) -> None:
-    for a in sets:
+def _finish(as_json: bool, payload: dict, lines: list[str],
+            counterexamples: list[IntegerSet]) -> int:
+    """Print the JSON payload or the text lines, then dump every
+    counterexample in both forms; the exit code is 1 if there were any."""
+    if as_json:
+        print(json.dumps(payload))
+    else:
+        print("\n".join(lines))
+    for a in counterexamples:
         print(f"COUNTEREXAMPLE set={a}")
         print(json.dumps({"counterexample": a.to_list()}))
+    return 1 if counterexamples else 0
 
 
 def cmd_sumset(args: argparse.Namespace) -> int:
     a = _parse_set(args)
     op = OPERATORS[args.op]
     result = compute_sumset(a, args.h, op)
-    if args.json:
-        print(json.dumps(result.to_dict(a, args.h, op,
-                                        include_sums=args.full)))
-    else:
-        print(f"set: {a}")
-        print(f"operator: {op.value}  h: {args.h}")
-        print(f"cardinality: {result.cardinality}")
-        print(f"min: {result.min_sum}  max: {result.max_sum}")
-        if args.full:
-            print("sums: " + ",".join(str(x) for x in result.sums))
-    return 0
+    lines = [f"set: {a}",
+             f"operator: {op.value}  h: {args.h}",
+             f"cardinality: {result.cardinality}",
+             f"min: {result.min_sum}  max: {result.max_sum}"]
+    if args.full:
+        lines.append("sums: " + ",".join(str(x) for x in result.sums))
+    return _finish(args.json,
+                   result.to_dict(a, args.h, op, include_sums=args.full),
+                   lines, [])
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     formulas = bounds.catalogue(args.h, args.k)
-    if args.json:
-        print(json.dumps({"h": args.h, "k": args.k,
-                          "bounds": [f.to_dict() for f in formulas]}))
-    else:
-        if not formulas:
-            print(f"no bound window admits h={args.h}, k={args.k}")
-        for f in formulas:
-            sharp = "sharp" if f.sharp else "lower bound"
-            print(f"{f.name:22s} {f.value:8d}  [{sharp}]  {f.hypothesis}")
-    return 0
+    lines = [f"{f.name:22s} {f.value:8d}  "
+             f"[{'sharp' if f.sharp else 'lower bound'}]  {f.hypothesis}"
+             for f in formulas]
+    return _finish(args.json,
+                   {"h": args.h, "k": args.k,
+                    "bounds": [f.to_dict() for f in formulas]},
+                   lines or [f"no bound window admits h={args.h}, k={args.k}"],
+                   [])
 
 
-def _check_direct(a: IntegerSet, h: int, as_json: bool) -> int:
+# Each checker returns (JSON payload, text lines, A is a counterexample).
+
+def _check_direct(a: IntegerSet, h: int) -> tuple[dict, list[str], bool]:
     report = check_direct(a, h)
-    if as_json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(f"set: {a}  h: {h}")
-        print(f"cardinality: {report.cardinality}  "
-              f"bound {report.bound_name}: {report.bound_value}")
-        print(f"slack: {report.slack}  equality: {report.equality}")
-    if not report.holds:
-        _dump_counterexamples([a])
-        return 1
-    return 0
+    return report.to_dict(), [
+        f"set: {a}  h: {h}",
+        f"cardinality: {report.cardinality}  "
+        f"bound {report.bound_name}: {report.bound_value}",
+        f"slack: {report.slack}  equality: {report.equality}",
+    ], not report.holds
 
 
-def _check_inverse(a: IntegerSet, h: int, as_json: bool) -> int:
+def _check_inverse(a: IntegerSet, h: int) -> tuple[dict, list[str], bool]:
     verdict = check_inverse(a, h)
-    report = verdict.report
-    if as_json:
-        out = report.to_dict(verdict.predicted_structure)
-        out["structure_matches"] = verdict.structure_matches
-        print(json.dumps(out))
-    else:
-        print(f"set: {a}  h: {h}  cardinality: {report.cardinality}  "
-              f"bound: {report.bound_value}")
-        print(f"equality: {verdict.equality_holds}  "
-              f"structure: {verdict.predicted_structure.kind.value} "
-              f"d={verdict.predicted_structure.d}  "
-              f"matches: {verdict.structure_matches}")
-    if verdict.equality_holds and verdict.structure_matches is False:
-        _dump_counterexamples([a])
-        return 1
-    return 0
+    report, structure = verdict.report, verdict.predicted_structure
+    payload = report.to_dict(structure)
+    payload["structure_matches"] = verdict.structure_matches
+    return payload, [
+        f"set: {a}  h: {h}  cardinality: {report.cardinality}  "
+        f"bound: {report.bound_value}",
+        f"equality: {verdict.equality_holds}  "
+        f"structure: {structure.kind.value} d={structure.d}  "
+        f"matches: {verdict.structure_matches}",
+    ], verdict.equality_holds and verdict.structure_matches is False
 
 
-def _check_lemma(a: IntegerSet, h: int, as_json: bool) -> int:
+def _check_lemma(a: IntegerSet, h: int) -> tuple[dict, list[str], bool]:
     report = check_prefix_decomposition(a, h)
-    if as_json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(f"set: {a}  h: {h}  family: {report.family}")
-        print(f"prefix: {report.prefix}  prefix cardinality: "
-              f"{report.prefix_cardinality}  surplus t: {report.t}")
-        if report.applicable:
-            print(f"asserted bound: {report.asserted_bound}  "
-                  f"actual: {report.cardinality}  holds: {report.holds}")
-        else:
-            print("not applicable (t < 0)")
-    if report.applicable and not report.holds:
-        _dump_counterexamples([a])
-        return 1
-    return 0
+    return report.to_dict(), [
+        f"set: {a}  h: {h}  family: {report.family}",
+        f"prefix: {report.prefix}  prefix cardinality: "
+        f"{report.prefix_cardinality}  surplus t: {report.t}",
+        f"asserted bound: {report.asserted_bound}  "
+        f"actual: {report.cardinality}  holds: {report.holds}"
+        if report.applicable else "not applicable (t < 0)",
+    ], report.applicable and not report.holds
 
 
-def _check_partial_inverse(a: IntegerSet, h: int, as_json: bool) -> int:
+def _check_partial(a: IntegerSet, h: int) -> tuple[dict, list[str], bool]:
     checks = check_partial_inverse(a, h)
-    if as_json:
-        print(json.dumps({"set": a.to_list(), "h": h,
-                          "conditions": [c.to_dict() for c in checks]}))
-    else:
-        print(f"set: {a}  h: {h}")
-        for c in checks:
-            verified = ("-" if c.conclusion_verified is None
-                        else str(c.conclusion_verified))
-            print(f"condition ({c.condition}): applicable={c.applicable}  "
-                  f"conclusion_verified={verified}")
-    if any(c.conclusion_verified is False for c in checks):
-        _dump_counterexamples([a])
-        return 1
-    return 0
+    return {"set": a.to_list(), "h": h,
+            "conditions": [c.to_dict() for c in checks]}, [
+        f"set: {a}  h: {h}",
+        *(f"condition ({c.condition}): applicable={c.applicable}  "
+          f"conclusion_verified="
+          f"{'-' if c.conclusion_verified is None else c.conclusion_verified}"
+          for c in checks),
+    ], any(c.conclusion_verified is False for c in checks)
 
 
-def _check_special(a: IntegerSet, h: int, as_json: bool) -> int:
+def _check_special(a: IntegerSet, h: int) -> tuple[dict, list[str], bool]:
     report = check_special_direct(a, h)
-    if as_json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(f"set: {a}  h: {h}")
-        print(f"cardinality: {report.cardinality}  bound: {report.bound_value}  "
-              f"slack: {report.slack}")
-    if not report.holds:
-        _dump_counterexamples([a])
-        return 1
-    return 0
+    return report.to_dict(), [
+        f"set: {a}  h: {h}",
+        f"cardinality: {report.cardinality}  bound: {report.bound_value}  "
+        f"slack: {report.slack}",
+    ], not report.holds
 
 
-def _check_ap(a: IntegerSet, h: int, as_json: bool) -> int:
+def _check_ap(a: IntegerSet, h: int) -> tuple[dict, list[str], bool]:
     if a.k != h + 1:
         raise ValueError(f"ap check requires an (h+1)-term progression, "
                          f"got k={a.k} for h={h}")
     if not is_arithmetic_progression(a):
         raise ValueError("ap check requires an arithmetic progression")
     report = check_ap_iff(a.min_element, gaps(a)[0], h)
-    if as_json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(f"set: {a}  h: {h}  a1: {report.a1}  d: {report.d}")
-        print(f"cardinality: {report.cardinality}  target (h+1)^2: "
-              f"{report.target}  d = 2*a1: {report.d_is_twice_min}")
-        print(f"iff holds: {report.iff_holds}")
-    if not report.holds:
-        _dump_counterexamples([a])
-        return 1
-    return 0
+    return report.to_dict(), [
+        f"set: {a}  h: {h}  a1: {report.a1}  d: {report.d}",
+        f"cardinality: {report.cardinality}  target (h+1)^2: "
+        f"{report.target}  d = 2*a1: {report.d_is_twice_min}",
+        f"iff holds: {report.iff_holds}",
+    ], not report.holds
+
+
+CHECKS = {
+    "direct": _check_direct,
+    "inverse": _check_inverse,
+    "lemma-decomposition": _check_lemma,
+    "partial-inverse": _check_partial,
+    "special-direct": _check_special,
+    "ap": _check_ap,
+}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     a = _parse_set(args)
-    dispatch = {
-        "direct": _check_direct,
-        "inverse": _check_inverse,
-        "lemma-decomposition": _check_lemma,
-        "partial-inverse": _check_partial_inverse,
-        "special-direct": _check_special,
-        "ap": _check_ap,
-    }
-    return dispatch[args.theorem](a, args.h, args.json)
-
-
-def _default_budget() -> int:
-    return int(os.environ.get("SUMSET_BUDGET", DEFAULT_BUDGET))
+    payload, lines, failed = CHECKS[args.theorem](a, args.h)
+    return _finish(args.json, payload, lines, [a] if failed else [])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     space = SearchSpace(k=args.k, h=args.h, max_element=args.max,
                         family=FAMILIES[args.family],
                         filter_id="primitive" if args.primitive_only else None)
+    space.check_budget(args.budget)  # before the CSV path is opened
     csv_fh = None
     if args.csv is not None:
         csv_fh = sys.stdout if args.csv == "-" else open(args.csv, "w")
@@ -222,39 +193,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         if csv_fh is not None and csv_fh is not sys.stdout:
             csv_fh.close()
-    if args.json:
-        print(json.dumps(summary.to_dict()))
-    else:
-        print(f"visited: {summary.visited}  bound: {space.bound().value}")
-        print(f"min cardinality: {summary.min_cardinality}")
-        print(f"equality cases: {summary.equality_count}  "
-              f"violations: {summary.violation_count}")
-        for record in summary.equality_sets:
-            print(f"  equality: {record.set}  "
-                  f"structure: {record.structure.kind.value} "
-                  f"d={record.structure.d}")
-    if summary.violation_count > 0:
-        _dump_counterexamples([r.set for r in summary.violations])
-        return 1
-    return 0
+    return _finish(args.json, summary.to_dict(), [
+        f"visited: {summary.visited}  bound: {space.bound().value}",
+        f"min cardinality: {summary.min_cardinality}",
+        f"equality cases: {summary.equality_count}  "
+        f"violations: {summary.violation_count}",
+        *(f"  equality: {r.set}  "
+          f"structure: {r.structure.kind.value} d={r.structure.d}"
+          for r in summary.equality_sets),
+    ], [r.set for r in summary.violations])
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
     space = SearchSpace(k=args.k, h=args.h, max_element=args.max,
                         family=FAMILIES[args.family])
     summary = random_probe(space, args.trials, args.seed)
-    if args.json:
-        print(json.dumps(summary.to_dict()))
-    else:
-        print(f"trials: {summary.trials}  seed: {summary.seed}  "
-              f"bound: {space.bound().value}")
-        print(f"min slack: {summary.min_slack}  "
-              f"equality cases: {summary.equality_count}  "
-              f"violations: {summary.violation_count}")
-    if summary.violation_count > 0:
-        _dump_counterexamples([r.set for r in summary.violations])
-        return 1
-    return 0
+    return _finish(args.json, summary.to_dict(), [
+        f"trials: {summary.trials}  seed: {summary.seed}  "
+        f"bound: {space.bound().value}",
+        f"min slack: {summary.min_slack}  "
+        f"equality cases: {summary.equality_count}  "
+        f"violations: {summary.violation_count}",
+    ], [r.set for r in summary.violations])
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
@@ -292,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run one theorem checker on a set")
     _add_set_arguments(p)
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--theorem", choices=THEOREMS, required=True)
+    p.add_argument("--theorem", choices=tuple(CHECKS), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
@@ -309,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--primitive-only", action="store_true",
                    help="skip sets whose elements share a common factor")
-    p.add_argument("--budget", type=int, default=_default_budget(),
+    p.add_argument("--budget", type=int,
+                   default=int(os.environ.get("SUMSET_BUDGET",
+                                              DEFAULT_BUDGET)),
                    help="refuse spaces larger than this many sets "
                         "(env SUMSET_BUDGET overrides the default)")
     p.set_defaults(func=cmd_sweep)
@@ -351,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE_CLOSED
+    except OSError as exc:  # an unreadable set file or unwritable CSV path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

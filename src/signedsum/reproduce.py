@@ -98,10 +98,8 @@ def _random_audit_sets(rng: random.Random, zero_based: bool,
     for _ in range(count):
         k = rng.randint(5, 8)
         h = rng.randint(3, k - 1)
-        if zero_based:
-            elements = (0,) + tuple(sorted(rng.sample(range(1, 41), k - 1)))
-        else:
-            elements = tuple(sorted(rng.sample(range(1, 41), k)))
+        fixed = (0,) if zero_based else ()
+        elements = fixed + tuple(sorted(rng.sample(range(1, 41), k - len(fixed))))
         out.append((IntegerSet(elements), h))
     return out
 

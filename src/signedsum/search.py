@@ -29,7 +29,6 @@ from typing import Callable, Iterator
 from . import bounds
 from .engine import prefix_cardinalities
 from .sets import IntegerSet, StructureClass, classify_structure
-from .verify import check_direct
 
 DEFAULT_BUDGET = 10**7
 EMIT_MODES = ("interesting", "all", "none")
@@ -66,24 +65,34 @@ class SearchSpace:
         self.bound()  # validates the family's (h, k) window
 
     @property
+    def fixed(self) -> tuple[int, ...]:
+        """The elements every candidate starts with: 0 in the zero family."""
+        return () if self.family is Family.POSITIVE else (0,)
+
+    @property
     def free(self) -> int:
-        """Number of elements chosen from [1, M]; the zero family fixes 0."""
-        return self.k if self.family is Family.POSITIVE else self.k - 1
+        """Number of elements chosen from [1, M]."""
+        return self.k - len(self.fixed)
 
     def bound(self) -> bounds.BoundFormula:
-        if self.family is Family.POSITIVE:
-            return bounds.optimal_bound_positive(self.h, self.k)
-        return bounds.optimal_bound_zero(self.h, self.k)
+        return bounds.optimal_bound(self.h, self.k,
+                                    self.family is Family.ZERO_BASED)
 
     def size(self) -> int:
         return comb(self.max_element, self.free)
 
+    def check_budget(self, budget: int) -> None:
+        """Refuse a space of more than ``budget`` candidate sets."""
+        size = self.size()
+        if size > budget:
+            raise ValueError(
+                f"budget exceeded: {size} candidate sets > budget {budget}")
+
     def shard_keys(self) -> list[tuple[int, ...]]:
         """Head of each shard, in lexicographic order: the two smallest free
         elements, after 0 in the zero-based family."""
-        fixed = () if self.family is Family.POSITIVE else (0,)
         top = self.max_element - self.free + 2  # room for the other elements
-        return [fixed + pair
+        return [self.fixed + pair
                 for pair in itertools.combinations(range(1, top + 1), 2)]
 
     def shard_candidates(self, key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -169,6 +178,13 @@ def _passes_filter(space: SearchSpace, candidate: tuple[int, ...]) -> bool:
     return True
 
 
+def _record(candidate: tuple[int, ...], card: int,
+            bound_value: int) -> SearchRecord:
+    a = IntegerSet(candidate)
+    slack = card - bound_value
+    return SearchRecord(a, card, slack, slack == 0, classify_structure(a))
+
+
 def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], str]
                  ) -> tuple[int, int | None, list[tuple[tuple[int, ...], int]]]:
     """Visit one shard; returns (visited, min_card, rows).
@@ -214,10 +230,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
-    size = space.size()
-    if size > budget:
-        raise ValueError(
-            f"budget exceeded: {size} candidate sets > budget {budget}")
+    space.check_budget(budget)
     args = [(space, key, emit) for key in space.shard_keys()]
     bound_value = space.bound().value
     emitting = on_record is not None and emit != "none"
@@ -236,15 +249,12 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
                                           or shard_min < min_card):
                 min_card = shard_min
             for candidate, card in rows:
-                slack = card - bound_value
-                if slack > 0 and not emitting:
+                if card > bound_value and not emitting:
                     continue
-                a = IntegerSet(candidate)
-                record = SearchRecord(a, card, slack, slack == 0,
-                                      classify_structure(a))
-                if slack == 0:
+                record = _record(candidate, card, bound_value)
+                if record.equality:
                     equality_sets.append(record)
-                elif slack < 0:
+                elif record.slack < 0:
                     violations.append(record)
                 if emitting:
                     on_record(record)
@@ -293,24 +303,22 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     m = space.max_element
+    bound_value = space.bound().value
     min_slack: int | None = None
     violations: list[SearchRecord] = []
     equality_sets: list[SearchRecord] = []
     for _ in range(trials):
-        if space.family is Family.POSITIVE:
-            candidate = tuple(sorted(rng.sample(range(1, m + 1), space.k)))
-        else:
-            candidate = (0,) + tuple(sorted(rng.sample(range(1, m + 1),
-                                                       space.k - 1)))
+        candidate = space.fixed + tuple(sorted(rng.sample(range(1, m + 1),
+                                                          space.free)))
         if not _passes_filter(space, candidate):
             continue
-        a = IntegerSet(candidate)
-        report = check_direct(a, space.h)
-        if min_slack is None or report.slack < min_slack:
-            min_slack = report.slack
-        if report.slack <= 0:
-            record = SearchRecord(a, report.cardinality, report.slack,
-                                  report.equality, classify_structure(a))
+        # the whole candidate as the head: the walk yields just its row
+        [(_, card)] = prefix_cardinalities(candidate, space.h, m, space.k)
+        slack = card - bound_value
+        if min_slack is None or slack < min_slack:
+            min_slack = slack
+        if slack <= 0:
+            record = _record(candidate, card, bound_value)
             if record.equality:
                 equality_sets.append(record)
             else:

@@ -183,17 +183,17 @@ def _expected_kind(family: str) -> StructureKind:
             else StructureKind.ZERO_AP_DILATE)
 
 
+def _measure(a: IntegerSet, h: int, bound_name: str,
+             bound_value: int) -> BoundReport:
+    card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
+    return BoundReport(a, h, Operator.RESTRICTED_SIGNED, card, bound_name,
+                       bound_value, card - bound_value, card == bound_value)
+
+
 def check_direct(a: IntegerSet, h: int) -> BoundReport:
     """Measure |h^+-A| against the optimal bound for A's family."""
-    family = family_of(a)
-    if family == POSITIVE:
-        bf = bounds.optimal_bound_positive(h, a.k)
-    else:
-        bf = bounds.optimal_bound_zero(h, a.k)
-    card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
-    slack = card - bf.value
-    return BoundReport(a, h, Operator.RESTRICTED_SIGNED, card,
-                       bf.name, bf.value, slack, slack == 0)
+    bf = bounds.optimal_bound(h, a.k, family_of(a) == ZERO)
+    return _measure(a, h, bf.name, bf.value)
 
 
 def check_inverse(a: IntegerSet, h: int) -> InverseVerdict:
@@ -217,19 +217,17 @@ def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionRepo
     lifts the optimal bound on the full set by t.
     """
     family = family_of(a)
-    if family == POSITIVE:
-        if not 3 <= h <= a.k - 1:
-            raise ValueError(
-                f"decomposition requires 3 <= h <= k-1, got h={h}, k={a.k}")
-        threshold = (h + 1) ** 2
-        base_bound = bounds.optimal_bound_positive(h, a.k).value
-    else:
+    zero_in_a = family == ZERO
+    if zero_in_a:
         if a.k < 5 or not 3 <= h <= a.k - 1:
             raise ValueError(
                 f"zero-family decomposition requires k >= 5 and 3 <= h <= k-1, "
                 f"got h={h}, k={a.k}")
-        threshold = h * (h + 1) + 1
-        base_bound = bounds.optimal_bound_zero(h, a.k).value
+    elif not 3 <= h <= a.k - 1:
+        raise ValueError(
+            f"decomposition requires 3 <= h <= k-1, got h={h}, k={a.k}")
+    threshold = bounds.prefix_base(h, zero_in_a)
+    base_bound = bounds.optimal_bound(h, a.k, zero_in_a).value
     prefix = a.prefix(h + 1)
     prefix_card = sumset_cardinality(prefix, h, Operator.RESTRICTED_SIGNED)
     t = prefix_card - threshold
@@ -255,32 +253,25 @@ def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
     if not 4 <= h <= k - 1:
         raise ValueError(
             f"partial inverse requires 4 <= h <= k-1, got h={h}, k={k}")
-    if family == POSITIVE:
-        equality_value = 2 * h * k - h * h + 1
-        threshold = (h + 1) ** 2
-    else:
-        equality_value = 2 * h * k - h * (h + 1) + 1
-        threshold = h * (h + 1) + 1
+    zero_in_a = family == ZERO
     prefix = a.prefix(h + 1)
     tail = a.without_min()  # A' = A minus its least element
 
-    card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
-    equality = card == equality_value
-    prefix_card = sumset_cardinality(prefix, h, Operator.RESTRICTED_SIGNED)
-
+    # one DP per set: (d) compares these sumsets, and their sizes are reused
+    full = compute_sumset(a, h, Operator.RESTRICTED_SIGNED)
+    head = compute_sumset(prefix, h, Operator.RESTRICTED_SIGNED)
     tail_restricted = set(compute_sumset(tail, h, Operator.RESTRICTED).sums)
-    union = (tail_restricted
-             | {-x for x in tail_restricted}
-             | set(compute_sumset(prefix, h, Operator.RESTRICTED_SIGNED).sums))
-    full = set(compute_sumset(a, h, Operator.RESTRICTED_SIGNED).sums)
+    equality = full.cardinality == bounds.optimal_bound(h, k, zero_in_a).value
+    surplus = head.cardinality >= bounds.prefix_base(h, zero_in_a)
+    union = tail_restricted | {-x for x in tail_restricted} | set(head.sums)
     tail_is_ap = is_arithmetic_progression(tail)
 
     applicable = {
         "a": is_arithmetic_progression(a),
         "b": is_arithmetic_progression(prefix),
-        "c": prefix_card >= threshold and 4 <= h <= k - 3,
-        "d": full == union and tail_is_ap,
-        "e": prefix_card >= threshold and tail_is_ap,
+        "c": surplus and 4 <= h <= k - 3,
+        "d": set(full.sums) == union and tail_is_ap,
+        "e": surplus and tail_is_ap,
     }
     conclusion = classify_structure(a).kind is _expected_kind(family)
     return [
@@ -301,11 +292,7 @@ def check_special_direct(a: IntegerSet, h: int) -> BoundReport:
         raise ValueError("special direct bound requires positive elements")
     if not (bounds.superincreasing_tail(a) or bounds.smallgap(a)):
         raise ValueError("hypothesis not satisfied")
-    bound_value = (h + 1) ** 2 + 1
-    card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
-    slack = card - bound_value
-    return BoundReport(a, h, Operator.RESTRICTED_SIGNED, card,
-                       "special-direct", bound_value, slack, slack == 0)
+    return _measure(a, h, "special-direct", bounds.prefix_base(h, False) + 1)
 
 
 def check_ap_iff(a1: int, d: int, h: int) -> ApIffReport:
@@ -318,7 +305,7 @@ def check_ap_iff(a1: int, d: int, h: int) -> ApIffReport:
         raise ValueError(f"AP check requires h >= 3, got h={h}")
     a = make_set([a1 + i * d for i in range(h + 1)])
     card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
-    target = (h + 1) ** 2
+    target = bounds.prefix_base(h, False)
     twice = d == 2 * a1
     equality_observed = card == target
     iff_holds = twice == equality_observed

@@ -1,8 +1,9 @@
 import pytest
 
-from signedsum import (ap_cardinality_bound, catalogue, general_bound,
-                       make_set, optimal_bound_positive, optimal_bound_zero,
-                       smallgap, superincreasing_tail, zero_ap_interval)
+from signedsum import (Operator, ap_cardinality_bound, bounds, catalogue,
+                       general_bound, make_set, optimal_bound_positive,
+                       optimal_bound_zero, smallgap, sumset_cardinality,
+                       superincreasing_tail, zero_ap_interval)
 
 
 class TestGeneralBound:
@@ -53,6 +54,30 @@ class TestOptimalBounds:
     def test_both_sharp(self):
         assert optimal_bound_positive(3, 4).sharp
         assert optimal_bound_zero(3, 5).sharp
+
+    def test_family_choice_matches_each_bound(self):
+        for h in range(0, 9):
+            for k in range(0, 11):
+                for zero_in_a, bound in ((False, optimal_bound_positive),
+                                         (True, optimal_bound_zero)):
+                    try:
+                        expected = bound(h, k)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as got:
+                            bounds.optimal_bound(h, k, zero_in_a)
+                        assert str(got.value) == str(exc)
+                    else:
+                        assert bounds.optimal_bound(h, k, zero_in_a) == expected
+
+    def test_prefix_base_is_the_extremal_prefix_cardinality(self):
+        op = Operator.RESTRICTED_SIGNED
+        for h in range(3, 9):
+            odd = make_set(range(1, 2 * h + 2, 2))  # {1, 3, ..., 2h+1}
+            interval = make_set(range(h + 1))  # {0, 1, ..., h}
+            assert (bounds.prefix_base(h, False)
+                    == sumset_cardinality(odd, h, op))
+            assert (bounds.prefix_base(h, True)
+                    == sumset_cardinality(interval, h, op))
 
 
 class TestApFormulas:

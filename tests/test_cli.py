@@ -12,6 +12,111 @@ from signedsum.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# Stdout and exit code of each report, byte for byte: every check theorem
+# in both formats, the counterexample dump, an inapplicable lemma, and the
+# plain sweep and probe summaries.
+PINNED = [
+    ('check --set 1,2,4,6,10 --h 4 --theorem direct', 0,
+     'set: {1,2,4,6,10}  h: 4\n'
+     'cardinality: 34  bound optimal-positive: 25\n'
+     'slack: 9  equality: False\n'
+     ),
+    ('check --set 1,2,4,6,10 --h 4 --theorem direct --json', 0,
+     '{"set": [1, 2, 4, 6, 10], "h": 4, '
+     '"operator": "restricted-signed", "cardinality": 34, '
+     '"bound_name": "optimal-positive", "bound_value": 25, "slack": 9, '
+     '"equality": false, "structure": null}\n'
+     ),
+    ('check --set 0,1,2,4,6 --h 4 --theorem inverse', 1,
+     'set: {0,1,2,4,6}  h: 4  cardinality: 21  bound: 21\n'
+     'equality: True  structure: NONE d=None  matches: False\n'
+     'COUNTEREXAMPLE set={0,1,2,4,6}\n'
+     '{"counterexample": [0, 1, 2, 4, 6]}\n'
+     ),
+    ('check --set 0,1,2,4,6 --h 4 --theorem inverse --json', 1,
+     '{"set": [0, 1, 2, 4, 6], "h": 4, "operator": "restricted-signed", '
+     '"cardinality": 21, "bound_name": "optimal-zero", '
+     '"bound_value": 21, "slack": 0, "equality": true, '
+     '"structure": {"kind": "NONE", "d": null}, '
+     '"structure_matches": false}\n'
+     'COUNTEREXAMPLE set={0,1,2,4,6}\n'
+     '{"counterexample": [0, 1, 2, 4, 6]}\n'
+     ),
+    ('check --set 1,3,5,7,9,11 --h 4 --theorem lemma-decomposition', 0,
+     'set: {1,3,5,7,9,11}  h: 4  family: positive\n'
+     'prefix: {1,3,5,7,9}  prefix cardinality: 25  surplus t: 0\n'
+     'asserted bound: 33  actual: 33  holds: True\n'
+     ),
+    ('check --set 1,3,5,7,9,11 --h 4 --theorem lemma-decomposition --json', 0,
+     '{"family": "positive", "set": [1, 3, 5, 7, 9, 11], "h": 4, '
+     '"prefix": [1, 3, 5, 7, 9], "prefix_cardinality": 25, '
+     '"threshold": 25, "t": 0, "applicable": true, '
+     '"asserted_bound": 33, "cardinality": 33, "holds": true}\n'
+     ),
+    ('check --set 0,1,2,4,6 --h 3 --theorem lemma-decomposition', 0,
+     'set: {0,1,2,4,6}  h: 3  family: zero\n'
+     'prefix: {0,1,2,4}  prefix cardinality: 12  surplus t: -1\n'
+     'not applicable (t < 0)\n'
+     ),
+    ('check --set 0,1,2,4,6 --h 3 --theorem lemma-decomposition --json', 0,
+     '{"family": "zero", "set": [0, 1, 2, 4, 6], "h": 3, "prefix": [0, '
+     '1, 2, 4], "prefix_cardinality": 12, "threshold": 13, "t": -1, '
+     '"applicable": false, "asserted_bound": null, "cardinality": 25, '
+     '"holds": null}\n'
+     ),
+    ('check --set 0,2,4,6,8,10 --h 4 --theorem partial-inverse', 0,
+     'set: {0,2,4,6,8,10}  h: 4\n'
+     'condition (a): applicable=True  conclusion_verified=True\n'
+     'condition (b): applicable=True  conclusion_verified=True\n'
+     'condition (c): applicable=False  conclusion_verified=-\n'
+     'condition (d): applicable=True  conclusion_verified=True\n'
+     'condition (e): applicable=True  conclusion_verified=True\n'
+     ),
+    ('check --set 0,2,4,6,8,10 --h 4 --theorem partial-inverse --json', 0,
+     '{"set": [0, 2, 4, 6, 8, 10], "h": 4, '
+     '"conditions": [{"condition": "a", "applicable": true, '
+     '"conclusion_verified": true}, {"condition": "b", '
+     '"applicable": true, "conclusion_verified": true}, '
+     '{"condition": "c", "applicable": false, '
+     '"conclusion_verified": null}, {"condition": "d", '
+     '"applicable": true, "conclusion_verified": true}, '
+     '{"condition": "e", "applicable": true, '
+     '"conclusion_verified": true}]}\n'
+     ),
+    ('check --set 1,5,6,11,17 --h 4 --theorem special-direct', 0,
+     'set: {1,5,6,11,17}  h: 4\n'
+     'cardinality: 47  bound: 26  slack: 21\n'
+     ),
+    ('check --set 1,5,6,11,17 --h 4 --theorem special-direct --json', 0,
+     '{"set": [1, 5, 6, 11, 17], "h": 4, '
+     '"operator": "restricted-signed", "cardinality": 47, '
+     '"bound_name": "special-direct", "bound_value": 26, "slack": 21, '
+     '"equality": false, "structure": null}\n'
+     ),
+    ('check --set 2,6,10,14 --h 3 --theorem ap', 0,
+     'set: {2,6,10,14}  h: 3  a1: 2  d: 4\n'
+     'cardinality: 16  target (h+1)^2: 16  d = 2*a1: True\n'
+     'iff holds: True\n'
+     ),
+    ('check --set 2,6,10,14 --h 3 --theorem ap --json', 0,
+     '{"a1": 2, "d": 4, "h": 3, "set": [2, 6, 10, 14], '
+     '"cardinality": 16, "target": 16, "d_is_twice_min": true, '
+     '"equality_observed": true, "iff_holds": true, "holds": true}\n'
+     ),
+    ('sweep --k 5 --h 4 --max 20 --threads 1', 0,
+     'visited: 15504  bound: 25\n'
+     'min cardinality: 25\n'
+     'equality cases: 2  violations: 0\n'
+     '  equality: {1,3,5,7,9}  structure: ODD_AP_DILATE d=1\n'
+     '  equality: {2,6,10,14,18}  structure: ODD_AP_DILATE d=2\n'
+     ),
+    ('probe --k 5 --h 4 --max 10 --trials 300 --seed 7', 0,
+     'trials: 300  seed: 7  bound: 25\n'
+     'min slack: 0  equality cases: 2  violations: 0\n'
+     ),
+]
+
+
 def run_cli(capsys, *argv):
     """Invoke the CLI; returns (exit_code, stdout, stderr)."""
     try:
@@ -20,6 +125,12 @@ def run_cli(capsys, *argv):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.mark.parametrize("argv, code, stdout", PINNED,
+                         ids=[argv for argv, _, _ in PINNED])
+def test_report_bytes(capsys, argv, code, stdout):
+    assert run_cli(capsys, *argv.split()) == (code, stdout, "")
 
 
 class TestSumsetCommand:
@@ -101,6 +212,14 @@ class TestCheckCommand:
                                "--theorem", "direct")
         assert code == 2
         assert "error:" in err
+
+    def test_missing_set_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli(capsys, "check", "--set-file", str(missing),
+                                 "--h", "4", "--theorem", "direct")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(missing) in err
+        assert "Traceback" not in err
 
     def test_inverse_match(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--set", "2,6,10,14,18",
@@ -243,6 +362,25 @@ class TestSweepCommand:
                                "--budget", "100")
         assert code == 2
         assert "budget exceeded" in err
+
+    def test_unwritable_csv_path_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "out.csv"
+        code, out, err = run_cli(capsys, "sweep", "--k", "4", "--h", "3",
+                                 "--max", "10", "--threads", "1",
+                                 "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_refused_sweep_leaves_csv_file_alone(self, tmp_path, capsys):
+        path = tmp_path / "keep.csv"
+        path.write_text("earlier results\n")
+        code, _, err = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
+                               "--max", "20", "--threads", "1",
+                               "--budget", "10", "--csv", str(path))
+        assert code == 2
+        assert "budget exceeded" in err
+        assert path.read_text() == "earlier results\n"
 
     def test_budget_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSET_BUDGET", "50")

@@ -1,10 +1,12 @@
+import random
 from math import gcd
 
 import pytest
 
-from signedsum import (Family, Operator, SearchSpace, StructureKind,
+from signedsum import (Family, IntegerSet, Operator, SearchSpace,
+                       StructureKind, check_direct, classify_structure,
                        random_probe, search, sumset_cardinality, sweep)
-from signedsum.search import CSV_HEADER
+from signedsum.search import CSV_HEADER, ProbeSummary, SearchRecord
 
 
 def space_h4_positive(max_element=20):
@@ -157,6 +159,45 @@ class TestRandomProbe:
         space = SearchSpace(k=6, h=4, max_element=30, family=Family.POSITIVE)
         with pytest.raises(ValueError, match="trials"):
             random_probe(space, 0, seed=1)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_matches_check_direct_reference(self, family, k):
+        for seed in (1, 2, 3, 11):
+            for max_element, primitive in ((k + 4, None), (k + 4, "primitive"),
+                                           (3 * k, None)):
+                for h in sorted({3, k - 1}):
+                    space = SearchSpace(k=k, h=h, max_element=max_element,
+                                        family=family, filter_id=primitive)
+                    got = random_probe(space, 150, seed)
+                    assert got.to_dict() == _reference_probe(space, 150, seed)
+
+
+def _reference_probe(space, trials, seed):
+    """random_probe as first written: check_direct on every sample."""
+    rng = random.Random(seed)
+    m = space.max_element
+    min_slack = None
+    violations, equality_sets = [], []
+    for _ in range(trials):
+        if space.family is Family.POSITIVE:
+            candidate = tuple(sorted(rng.sample(range(1, m + 1), space.k)))
+        else:
+            candidate = (0,) + tuple(sorted(rng.sample(range(1, m + 1),
+                                                       space.k - 1)))
+        if space.filter_id == "primitive" and gcd(*candidate) != 1:
+            continue
+        a = IntegerSet(candidate)
+        report = check_direct(a, space.h)
+        if min_slack is None or report.slack < min_slack:
+            min_slack = report.slack
+        if report.slack <= 0:
+            record = SearchRecord(a, report.cardinality, report.slack,
+                                  report.equality, classify_structure(a))
+            (equality_sets if record.equality else violations).append(record)
+    return ProbeSummary(space, trials, seed, min_slack, len(violations),
+                        violations, len(equality_sets),
+                        equality_sets).to_dict()
 
 
 SMALL_SPACES = [

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from signedsum import (StructureKind, check_ap_iff, check_direct,
                        check_inverse, check_partial_inverse,
                        check_prefix_decomposition, check_special_direct,
-                       compute_sumset_naive, make_set, sumset_cardinality)
+                       compute_sumset_naive, make_set, sumset_cardinality,
+                       verify)
 from signedsum.engine import Operator
 
 # Exact cardinalities of |4^+-A| for the five-element boundary cases worked
@@ -214,6 +217,30 @@ class TestPartialInverse:
     def test_window_error(self):
         with pytest.raises(ValueError, match="4 <= h <= k-1"):
             check_partial_inverse(make_set([1, 3, 5, 7, 9]), 3)
+
+    @pytest.mark.parametrize("elements", [(1, 3, 5, 7, 9, 11),
+                                          (0, 1, 2, 4, 6),
+                                          (1, 2, 4, 8, 16, 32)])
+    def test_one_dp_per_set(self, monkeypatch, elements):
+        # A, its prefix and A minus its least element: three DPs in all
+        calls = []
+
+        def counted(fn):
+            def wrapper(a, h, op):
+                calls.append((a.elements, op))
+                return fn(a, h, op)
+            return wrapper
+
+        monkeypatch.setattr(verify, "compute_sumset",
+                            counted(verify.compute_sumset))
+        monkeypatch.setattr(verify, "sumset_cardinality",
+                            counted(verify.sumset_cardinality))
+        a = make_set(elements)
+        check_partial_inverse(a, 4)
+        assert Counter(calls) == Counter([
+            (a.elements, Operator.RESTRICTED_SIGNED),
+            (a.prefix(5).elements, Operator.RESTRICTED_SIGNED),
+            (a.without_min().elements, Operator.RESTRICTED)])
 
 
 class TestSpecialDirect:
