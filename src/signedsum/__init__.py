@@ -1,14 +1,14 @@
 """Sumset operators over finite integer sets, their sharp cardinality
 bounds, and verification harnesses for the direct and inverse theorems."""
 
-from .bounds import (BoundFormula, ap_cardinality_bound, catalogue,
+from .bounds import (BoundFormula, Family, ap_cardinality_bound, catalogue,
                      general_bound, optimal_bound_positive,
                      optimal_bound_zero, smallgap, superincreasing_tail,
                      zero_ap_interval)
 from .engine import (Operator, SumsetResult, compute_sumset,
-                     compute_sumset_naive, contains_zero, sumset_cardinality)
-from .search import (Family, ProbeSummary, SearchRecord, SearchSpace,
-                     SweepSummary, random_probe, sweep)
+                     compute_sumset_naive, sumset_cardinality)
+from .search import (ProbeSummary, SearchRecord, SearchSpace, SweepSummary,
+                     random_probe, sweep)
 from .sets import (IntegerSet, StructureClass, StructureKind,
                    classify_structure, dilate, gaps,
                    is_arithmetic_progression, make_set)
@@ -25,9 +25,8 @@ __all__ = [
     "catalogue", "check_ap_iff", "check_direct", "check_inverse",
     "check_partial_inverse", "check_prefix_decomposition",
     "check_special_direct", "classify_structure", "compute_sumset",
-    "compute_sumset_naive", "contains_zero", "dilate", "gaps",
-    "general_bound", "is_arithmetic_progression", "make_set",
-    "optimal_bound_positive", "optimal_bound_zero", "random_probe",
-    "smallgap", "superincreasing_tail", "sumset_cardinality", "sweep",
-    "zero_ap_interval",
+    "compute_sumset_naive", "dilate", "gaps", "general_bound",
+    "is_arithmetic_progression", "make_set", "optimal_bound_positive",
+    "optimal_bound_zero", "random_probe", "smallgap", "superincreasing_tail",
+    "sumset_cardinality", "sweep", "zero_ap_interval",
 ]

@@ -9,8 +9,9 @@ outside the window raise rather than extrapolate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
-from .sets import IntegerSet
+from .sets import IntegerSet, StructureKind
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,49 @@ def optimal_bound_zero(h: int, k: int) -> BoundFormula:
         "k >= 5 nonnegative elements with 0 in A, 3 <= h <= k-1", sharp=True)
 
 
-def optimal_bound(h: int, k: int, zero_in_a: bool) -> BoundFormula:
-    """The optimal bound of A's family: zero-based when 0 is in A."""
-    return optimal_bound_zero(h, k) if zero_in_a else optimal_bound_positive(h, k)
+class Family(Enum):
+    """The paper's two set families, each with its own optimal bound,
+    prefix base and extremal sets: positive sets, and 0 plus positives."""
 
+    POSITIVE = "positive"
+    ZERO_BASED = "zero-based"
 
-def prefix_base(h: int, zero_in_a: bool) -> int:
-    """|h^+-P| for the extremal (h+1)-element prefix P of A's family:
-    (h+1)^2 for {1, 3, ..., 2h+1}, h(h+1) + 1 for {0, 1, ..., h}."""
-    return h * (h + 1) + 1 if zero_in_a else (h + 1) ** 2
+    @classmethod
+    def of(cls, a: IntegerSet) -> Family:
+        """POSITIVE for all-positive sets, ZERO_BASED for {0} plus positives.
+
+        Anything else (negative or mixed-sign elements) violates every
+        theorem hypothesis here and is rejected; the raw engine remains
+        usable on such sets.
+        """
+        if a.all_positive:
+            return cls.POSITIVE
+        if a.min_element == 0:
+            return cls.ZERO_BASED
+        raise ValueError(
+            "theorem hypotheses require positive elements or 0 plus positives")
+
+    @property
+    def fixed(self) -> tuple[int, ...]:
+        """The elements every set of the family starts with: 0, or none."""
+        return () if self is Family.POSITIVE else (0,)
+
+    @property
+    def extremal(self) -> StructureKind:
+        """The sets that attain the optimal bound: d*{1,3,...,2k-1}, or
+        d*[0,k-1]."""
+        return (StructureKind.ODD_AP_DILATE if self is Family.POSITIVE
+                else StructureKind.ZERO_AP_DILATE)
+
+    def optimal_bound(self, h: int, k: int) -> BoundFormula:
+        """The family's optimal bound on |h^+-A|."""
+        return (optimal_bound_positive(h, k) if self is Family.POSITIVE
+                else optimal_bound_zero(h, k))
+
+    def prefix_base(self, h: int) -> int:
+        """|h^+-P| for the extremal (h+1)-element prefix P of the family:
+        (h+1)^2 for {1, 3, ..., 2h+1}, h(h+1) + 1 for {0, 1, ..., h}."""
+        return (h + 1) ** 2 if self is Family.POSITIVE else h * (h + 1) + 1
 
 
 def ap_cardinality_bound(h: int, k: int, d_is_twice_min: bool) -> int:

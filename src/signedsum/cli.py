@@ -17,8 +17,8 @@ import sys
 
 from . import bounds, reproduce
 from .engine import Operator, compute_sumset
-from .search import (CSV_HEADER, DEFAULT_BUDGET, Family, SearchSpace,
-                     random_probe, sweep)
+from .search import (CSV_HEADER, DEFAULT_BUDGET, EMIT_MODES, Family,
+                     SearchSpace, random_probe, sweep)
 from .sets import IntegerSet, gaps, is_arithmetic_progression, make_set
 from .verify import (check_ap_iff, check_direct, check_inverse,
                      check_partial_inverse, check_prefix_decomposition,
@@ -262,16 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True,
                    help="largest allowed element M")
     p.add_argument("--family", choices=sorted(FAMILIES), default="positive")
-    p.add_argument("--emit", choices=("interesting", "all", "none"),
-                   default="interesting")
+    p.add_argument("--emit", choices=EMIT_MODES, default="interesting")
     p.add_argument("--csv", help="write records as CSV to a path, or - for stdout")
     p.add_argument("--json", action="store_true")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--primitive-only", action="store_true",
                    help="skip sets whose elements share a common factor")
+    # argparse converts a string default, and so rejects a malformed
+    # SUMSET_BUDGET, only when this verb is parsed
     p.add_argument("--budget", type=int,
-                   default=int(os.environ.get("SUMSET_BUDGET",
-                                              DEFAULT_BUDGET)),
+                   default=os.environ.get("SUMSET_BUDGET", DEFAULT_BUDGET),
                    help="refuse spaces larger than this many sets "
                         "(env SUMSET_BUDGET overrides the default)")
     p.set_defaults(func=cmd_sweep)

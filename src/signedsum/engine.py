@@ -77,24 +77,24 @@ class SumsetResult:
         return out
 
 
-def contains_zero(a: IntegerSet) -> bool:
-    """True iff 0 is an element; selects the bound family for theorems."""
-    return 0 in a
+def _guard(h: int, k: int, restricted: bool, half_width: int) -> None:
+    """Refuse a fold below 1, a restricted fold above k, and a bitmap
+    whose half-width exceeds ``MAX_SUM_RANGE``."""
+    if h < 1:
+        raise ValueError("h must be a positive integer")
+    if restricted and h > k:
+        raise ValueError("h exceeds |A|")
+    if half_width > MAX_SUM_RANGE:
+        raise ValueError("range overflow")
 
 
 def _check_instance(a: IntegerSet, h: int, op: Operator) -> int:
     """Validate (A, h, op) and return the bitmap half-width."""
-    if h < 1:
-        raise ValueError("h must be a positive integer")
-    if op.restricted and h > a.k:
-        raise ValueError("h exceeds |A|")
-    max_abs = max(abs(x) for x in a.elements)
     if op.restricted:
         half_width = sum(abs(x) for x in a.elements)
     else:
-        half_width = h * max_abs
-    if half_width > MAX_SUM_RANGE:
-        raise ValueError("range overflow")
+        half_width = h * max(abs(x) for x in a.elements)
+    _guard(h, a.k, op.restricted, half_width)
     return half_width
 
 
@@ -183,13 +183,8 @@ def prefix_cardinalities(head: tuple[int, ...], h: int, max_element: int,
     no longer reach weight h are dropped, and at the last element only row h
     is formed.
     """
-    if h < 1:
-        raise ValueError("h must be a positive integer")
-    if h > k:
-        raise ValueError("h exceeds |A|")
     half_width = h * max_element
-    if half_width > MAX_SUM_RANGE:
-        raise ValueError("range overflow")
+    _guard(h, k, True, half_width)
     dp = [0] * (h + 1)
     dp[0] = 1 << half_width
     for i, a in enumerate(head):

@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 
 from . import bounds
+from .bounds import Family
 from .engine import Operator, compute_sumset, prefix_cardinalities
-from .search import Family, SearchSpace, sweep
+from .search import SearchSpace, sweep
 from .sets import IntegerSet
 from .verify import check_ap_iff, check_prefix_decomposition
 
@@ -92,13 +93,13 @@ def interval() -> list[TargetRow]:
         not failures, f"failures={failures}")]
 
 
-def _random_audit_sets(rng: random.Random, zero_based: bool,
+def _random_audit_sets(rng: random.Random, family: Family,
                        count: int) -> list[tuple[IntegerSet, int]]:
+    fixed = family.fixed
     out = []
     for _ in range(count):
         k = rng.randint(5, 8)
         h = rng.randint(3, k - 1)
-        fixed = (0,) if zero_based else ()
         elements = fixed + tuple(sorted(rng.sample(range(1, 41), k - len(fixed))))
         out.append((IntegerSet(elements), h))
     return out
@@ -108,17 +109,17 @@ def lemma_audit() -> list[TargetRow]:
     """Prefix-surplus inequality on 300 random positive and 300 zero-based sets."""
     rng = random.Random(LEMMA_AUDIT_SEED)
     rows = []
-    for zero_based, label in ((False, "positive"), (True, "zero-based")):
+    for family in Family:
         failures = []
         applicable = 0
-        for a, h in _random_audit_sets(rng, zero_based, 300):
+        for a, h in _random_audit_sets(rng, family, 300):
             report = check_prefix_decomposition(a, h)
             if report.applicable:
                 applicable += 1
                 if not report.holds:
                     failures.append((a.to_list(), h))
         rows.append(TargetRow(
-            f"surplus inequality holds on 300 random {label} sets",
+            f"surplus inequality holds on 300 random {family.value} sets",
             not failures,
             f"applicable={applicable} failures={failures}"))
     return rows
@@ -129,13 +130,14 @@ def theorem11_small() -> list[TargetRow]:
     rows = []
     for h in (1, 2):
         for k in range(h, 7):
-            for zero_in_a in (False, True):
+            for family in Family:
+                zero_in_a = family is Family.ZERO_BASED
                 bound = bounds.general_bound(h, k, zero_in_a).value
                 violations = 0
                 equalities = 0
                 # the k-subsets of [1, 12], or {0} plus (k-1)-subsets of [1, 11]
                 m = 11 if zero_in_a else 12
-                heads = ([(0,)] if zero_in_a
+                heads = ([family.fixed] if family.fixed
                          else [(a,) for a in range(1, m - k + 2)])
                 for head in heads:
                     for _, card in prefix_cardinalities(head, h, m, k):

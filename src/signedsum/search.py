@@ -22,22 +22,16 @@ import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from math import comb, gcd
 from typing import Callable, Iterator
 
-from . import bounds
+from .bounds import BoundFormula, Family
 from .engine import prefix_cardinalities
 from .sets import IntegerSet, StructureClass, classify_structure
 
 DEFAULT_BUDGET = 10**7
 EMIT_MODES = ("interesting", "all", "none")
 FILTER_IDS = (None, "primitive")
-
-
-class Family(Enum):
-    POSITIVE = "positive"
-    ZERO_BASED = "zero-based"
 
 
 @dataclass(frozen=True)
@@ -65,18 +59,12 @@ class SearchSpace:
         self.bound()  # validates the family's (h, k) window
 
     @property
-    def fixed(self) -> tuple[int, ...]:
-        """The elements every candidate starts with: 0 in the zero family."""
-        return () if self.family is Family.POSITIVE else (0,)
-
-    @property
     def free(self) -> int:
         """Number of elements chosen from [1, M]."""
-        return self.k - len(self.fixed)
+        return self.k - len(self.family.fixed)
 
-    def bound(self) -> bounds.BoundFormula:
-        return bounds.optimal_bound(self.h, self.k,
-                                    self.family is Family.ZERO_BASED)
+    def bound(self) -> BoundFormula:
+        return self.family.optimal_bound(self.h, self.k)
 
     def size(self) -> int:
         return comb(self.max_element, self.free)
@@ -92,7 +80,7 @@ class SearchSpace:
         """Head of each shard, in lexicographic order: the two smallest free
         elements, after 0 in the zero-based family."""
         top = self.max_element - self.free + 2  # room for the other elements
-        return [self.fixed + pair
+        return [self.family.fixed + pair
                 for pair in itertools.combinations(range(1, top + 1), 2)]
 
     def shard_candidates(self, key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -231,9 +219,11 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
     space.check_budget(budget)
-    args = [(space, key, emit) for key in space.shard_keys()]
-    bound_value = space.bound().value
     emitting = on_record is not None and emit != "none"
+    # with no consumer, shards ship only the rows the summary keeps
+    args = [(space, key, emit if emitting else "none")
+            for key in space.shard_keys()]
+    bound_value = space.bound().value
     visited = 0
     min_card: int | None = None
     equality_sets: list[SearchRecord] = []
@@ -249,8 +239,6 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
                                           or shard_min < min_card):
                 min_card = shard_min
             for candidate, card in rows:
-                if card > bound_value and not emitting:
-                    continue
                 record = _record(candidate, card, bound_value)
                 if record.equality:
                     equality_sets.append(record)
@@ -308,8 +296,8 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
     violations: list[SearchRecord] = []
     equality_sets: list[SearchRecord] = []
     for _ in range(trials):
-        candidate = space.fixed + tuple(sorted(rng.sample(range(1, m + 1),
-                                                          space.free)))
+        draw = sorted(rng.sample(range(1, m + 1), space.free))
+        candidate = space.family.fixed + tuple(draw)
         if not _passes_filter(space, candidate):
             continue
         # the whole candidate as the head: the walk yields just its row

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds
+from .bounds import Family
 from .engine import Operator, compute_sumset, sumset_cardinality
-from .sets import (IntegerSet, StructureClass, StructureKind,
-                   classify_structure, is_arithmetic_progression, make_set)
-
-POSITIVE = "positive"
-ZERO = "zero"
+from .sets import (IntegerSet, StructureClass, classify_structure,
+                   is_arithmetic_progression, make_set)
 
 
 @dataclass(frozen=True)
@@ -163,26 +161,6 @@ class ApIffReport:
         }
 
 
-def family_of(a: IntegerSet) -> str:
-    """POSITIVE for all-positive sets, ZERO for {0} plus positives.
-
-    Anything else (negative or mixed-sign elements) violates every
-    theorem hypothesis here and is rejected; the raw engine remains
-    usable on such sets.
-    """
-    if a.all_positive:
-        return POSITIVE
-    if a.min_element == 0 and (a.k == 1 or a.elements[1] > 0):
-        return ZERO
-    raise ValueError(
-        "theorem hypotheses require positive elements or 0 plus positives")
-
-
-def _expected_kind(family: str) -> StructureKind:
-    return (StructureKind.ODD_AP_DILATE if family == POSITIVE
-            else StructureKind.ZERO_AP_DILATE)
-
-
 def _measure(a: IntegerSet, h: int, bound_name: str,
              bound_value: int) -> BoundReport:
     card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
@@ -192,7 +170,7 @@ def _measure(a: IntegerSet, h: int, bound_name: str,
 
 def check_direct(a: IntegerSet, h: int) -> BoundReport:
     """Measure |h^+-A| against the optimal bound for A's family."""
-    bf = bounds.optimal_bound(h, a.k, family_of(a) == ZERO)
+    bf = Family.of(a).optimal_bound(h, a.k)
     return _measure(a, h, bf.name, bf.value)
 
 
@@ -204,7 +182,7 @@ def check_inverse(a: IntegerSet, h: int) -> InverseVerdict:
     structure = classify_structure(a)
     matches: bool | None = None
     if report.equality:
-        matches = structure.kind is _expected_kind(family_of(a))
+        matches = structure.kind is Family.of(a).extremal
     return InverseVerdict(report.equality, structure, matches, report)
 
 
@@ -216,9 +194,8 @@ def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionRepo
     the base is h(h+1) + 1. In both cases a surplus t >= 0 on the prefix
     lifts the optimal bound on the full set by t.
     """
-    family = family_of(a)
-    zero_in_a = family == ZERO
-    if zero_in_a:
+    family = Family.of(a)
+    if family is Family.ZERO_BASED:
         if a.k < 5 or not 3 <= h <= a.k - 1:
             raise ValueError(
                 f"zero-family decomposition requires k >= 5 and 3 <= h <= k-1, "
@@ -226,8 +203,8 @@ def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionRepo
     elif not 3 <= h <= a.k - 1:
         raise ValueError(
             f"decomposition requires 3 <= h <= k-1, got h={h}, k={a.k}")
-    threshold = bounds.prefix_base(h, zero_in_a)
-    base_bound = bounds.optimal_bound(h, a.k, zero_in_a).value
+    threshold = family.prefix_base(h)
+    base_bound = family.optimal_bound(h, a.k).value
     prefix = a.prefix(h + 1)
     prefix_card = sumset_cardinality(prefix, h, Operator.RESTRICTED_SIGNED)
     t = prefix_card - threshold
@@ -236,8 +213,8 @@ def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionRepo
     card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
     holds = (asserted <= card) if applicable else None
     return PrefixDecompositionReport(
-        family, a, h, prefix, prefix_card, threshold, t, applicable,
-        asserted, card, holds)
+        "zero" if family is Family.ZERO_BASED else "positive", a, h, prefix,
+        prefix_card, threshold, t, applicable, asserted, card, holds)
 
 
 def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
@@ -248,12 +225,11 @@ def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
     condition), whether A is the predicted extremal dilate. Condition (c)
     carries its own window 4 <= h <= k-3 and is inapplicable outside it.
     """
-    family = family_of(a)
+    family = Family.of(a)
     k = a.k
     if not 4 <= h <= k - 1:
         raise ValueError(
             f"partial inverse requires 4 <= h <= k-1, got h={h}, k={k}")
-    zero_in_a = family == ZERO
     prefix = a.prefix(h + 1)
     tail = a.without_min()  # A' = A minus its least element
 
@@ -261,8 +237,8 @@ def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
     full = compute_sumset(a, h, Operator.RESTRICTED_SIGNED)
     head = compute_sumset(prefix, h, Operator.RESTRICTED_SIGNED)
     tail_restricted = set(compute_sumset(tail, h, Operator.RESTRICTED).sums)
-    equality = full.cardinality == bounds.optimal_bound(h, k, zero_in_a).value
-    surplus = head.cardinality >= bounds.prefix_base(h, zero_in_a)
+    equality = full.cardinality == family.optimal_bound(h, k).value
+    surplus = head.cardinality >= family.prefix_base(h)
     union = tail_restricted | {-x for x in tail_restricted} | set(head.sums)
     tail_is_ap = is_arithmetic_progression(tail)
 
@@ -273,7 +249,7 @@ def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
         "d": set(full.sums) == union and tail_is_ap,
         "e": surplus and tail_is_ap,
     }
-    conclusion = classify_structure(a).kind is _expected_kind(family)
+    conclusion = classify_structure(a).kind is family.extremal
     return [
         ConditionCheck(cond, ok, conclusion if (equality and ok) else None)
         for cond, ok in applicable.items()
@@ -288,11 +264,11 @@ def check_special_direct(a: IntegerSet, h: int) -> BoundReport:
     if a.k != h + 1:
         raise ValueError(
             f"special direct bound requires k = h+1, got h={h}, k={a.k}")
-    if family_of(a) != POSITIVE:
+    if Family.of(a) is not Family.POSITIVE:
         raise ValueError("special direct bound requires positive elements")
     if not (bounds.superincreasing_tail(a) or bounds.smallgap(a)):
         raise ValueError("hypothesis not satisfied")
-    return _measure(a, h, "special-direct", bounds.prefix_base(h, False) + 1)
+    return _measure(a, h, "special-direct", Family.POSITIVE.prefix_base(h) + 1)
 
 
 def check_ap_iff(a1: int, d: int, h: int) -> ApIffReport:
@@ -305,7 +281,7 @@ def check_ap_iff(a1: int, d: int, h: int) -> ApIffReport:
         raise ValueError(f"AP check requires h >= 3, got h={h}")
     a = make_set([a1 + i * d for i in range(h + 1)])
     card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
-    target = bounds.prefix_base(h, False)
+    target = Family.POSITIVE.prefix_base(h)
     twice = d == 2 * a1
     equality_observed = card == target
     iff_holds = twice == equality_observed

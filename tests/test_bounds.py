@@ -1,7 +1,8 @@
 import pytest
 
-from signedsum import (Operator, ap_cardinality_bound, bounds, catalogue,
-                       general_bound, make_set, optimal_bound_positive,
+from signedsum import (Family, IntegerSet, Operator, StructureKind,
+                       ap_cardinality_bound, catalogue, classify_structure,
+                       dilate, general_bound, make_set, optimal_bound_positive,
                        optimal_bound_zero, smallgap, sumset_cardinality,
                        superincreasing_tail, zero_ap_interval)
 
@@ -58,26 +59,71 @@ class TestOptimalBounds:
     def test_family_choice_matches_each_bound(self):
         for h in range(0, 9):
             for k in range(0, 11):
-                for zero_in_a, bound in ((False, optimal_bound_positive),
-                                         (True, optimal_bound_zero)):
+                for family, bound in ((Family.POSITIVE, optimal_bound_positive),
+                                      (Family.ZERO_BASED, optimal_bound_zero)):
                     try:
                         expected = bound(h, k)
                     except ValueError as exc:
                         with pytest.raises(ValueError) as got:
-                            bounds.optimal_bound(h, k, zero_in_a)
+                            family.optimal_bound(h, k)
                         assert str(got.value) == str(exc)
                     else:
-                        assert bounds.optimal_bound(h, k, zero_in_a) == expected
+                        assert family.optimal_bound(h, k) == expected
 
     def test_prefix_base_is_the_extremal_prefix_cardinality(self):
         op = Operator.RESTRICTED_SIGNED
         for h in range(3, 9):
             odd = make_set(range(1, 2 * h + 2, 2))  # {1, 3, ..., 2h+1}
             interval = make_set(range(h + 1))  # {0, 1, ..., h}
-            assert (bounds.prefix_base(h, False)
+            assert (Family.POSITIVE.prefix_base(h)
                     == sumset_cardinality(odd, h, op))
-            assert (bounds.prefix_base(h, True)
+            assert (Family.ZERO_BASED.prefix_base(h)
                     == sumset_cardinality(interval, h, op))
+
+
+def _reference_family_of(a):
+    """The family test as first written, returning the family's value."""
+    if a.all_positive:
+        return "positive"
+    if a.min_element == 0 and (a.k == 1 or a.elements[1] > 0):
+        return "zero-based"
+    raise ValueError(
+        "theorem hypotheses require positive elements or 0 plus positives")
+
+
+class TestFamily:
+    @pytest.mark.parametrize("elements", [
+        [1], [1, 3, 5, 7, 9], [2, 6, 10, 14, 18], [1, 2, 4, 6, 10],
+        [0], [0, 1], [0, 1, 2, 4, 6], [0, 3, 6, 9, 12],
+        [-1], [-3, -2, -1], [-1, 0], [-2, 0, 5], [-4, 1, 3],
+    ])
+    def test_of_matches_reference(self, elements):
+        a = make_set(elements)
+        try:
+            expected = _reference_family_of(a)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Family.of(a)
+            assert str(got.value) == str(exc)
+        else:
+            assert Family.of(a).value == expected
+
+    def test_fixed_elements_select_the_family(self):
+        for family in Family:
+            a = IntegerSet(family.fixed + (3, 5, 8))
+            assert Family.of(a) is family
+
+    def test_extremal_is_the_kind_of_each_extremal_dilate(self):
+        for k in range(2, 8):
+            for d in (1, 2, 5):
+                odd = dilate(make_set(range(1, 2 * k, 2)), d)
+                interval = dilate(make_set(range(k)), d)
+                assert (classify_structure(odd).kind
+                        is Family.POSITIVE.extremal
+                        is StructureKind.ODD_AP_DILATE)
+                assert (classify_structure(interval).kind
+                        is Family.ZERO_BASED.extremal
+                        is StructureKind.ZERO_AP_DILATE)
 
 
 class TestApFormulas:

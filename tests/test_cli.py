@@ -389,6 +389,20 @@ class TestSweepCommand:
         assert code == 2
         assert "budget exceeded" in err
 
+    def test_malformed_budget_env_fails_only_the_sweep(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv("SUMSET_BUDGET", "abc")
+        code, out, err = run_cli(capsys, "sumset", "--set", "1,2,3",
+                                 "--h", "2", "--op", "restricted")
+        assert (code, err) == (0, "")
+        assert "cardinality: 3" in out
+        code, out, err = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
+                                 "--max", "10", "--threads", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: argument --budget: invalid int value: 'abc'\n")
+        assert "Traceback" not in err
+
     def test_primitive_only(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
                                "--max", "20", "--threads", "1",

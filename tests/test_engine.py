@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedsum import (IntegerSet, Operator, compute_sumset,
-                       compute_sumset_naive, contains_zero, dilate, make_set,
+                       compute_sumset_naive, dilate, make_set,
                        sumset_cardinality)
 from signedsum.engine import _decode, naive_vector_count, prefix_cardinalities
 
@@ -83,16 +83,6 @@ class TestPreconditions:
         assert naive_vector_count(30, 15, RS) > 10**8
         with pytest.raises(ValueError, match="too large for oracle"):
             compute_sumset_naive(a, 15, RS)
-
-
-class TestContainsZero:
-    @pytest.mark.parametrize("elements,expected", [
-        ([0, 1, 2], True),
-        ([1, 3, 5], False),
-        ([-1, 0, 4], True),
-    ])
-    def test_examples(self, elements, expected):
-        assert contains_zero(make_set(elements)) is expected
 
 
 class TestOracleAgreement:

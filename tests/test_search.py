@@ -285,6 +285,23 @@ class TestPrefixSharedSweep:
             rows_seen += len(rows)
         assert rows_seen > 0
 
+    def test_emit_all_without_consumer_ships_only_kept_rows(self,
+                                                             monkeypatch):
+        space = SearchSpace(k=6, h=4, max_element=13, family=Family.ZERO_BASED)
+        bound = space.bound().value
+        shard = search._sweep_shard
+        shipped = []
+
+        def spy(args):
+            result = shard(args)
+            shipped.extend(card for _, card in result[2])
+            return result
+
+        monkeypatch.setattr(search, "_sweep_shard", spy)
+        summary = sweep(space, emit="all")
+        assert shipped and max(shipped) <= bound
+        assert summary.to_dict() == sweep(space, emit="interesting").to_dict()
+
     def test_records_stream_before_the_last_shard_runs(self, monkeypatch):
         space = SearchSpace(k=5, h=4, max_element=10, family=Family.POSITIVE)
         shards_run = 0
