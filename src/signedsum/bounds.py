@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .sets import IntegerSet, StructureKind
+from .sets import IntegerSet, Record, StructureKind
 
 
 @dataclass(frozen=True)
-class BoundFormula:
+class BoundFormula(Record):
     """A named lower bound: its value at (h, k), the hypothesis window it
     requires, and whether the bound is asserted to be attainable."""
 
@@ -23,14 +23,6 @@ class BoundFormula:
     value: int
     hypothesis: str
     sharp: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "hypothesis": self.hypothesis,
-            "sharp": self.sharp,
-        }
 
 
 def general_bound(h: int, k: int, zero_in_a: bool) -> BoundFormula:

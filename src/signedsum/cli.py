@@ -2,10 +2,10 @@
 
 Exit codes: 0 means every checked conclusion holds, 1 means a mathematical
 counterexample was found (the offending sets are dumped in plain text and
-JSON regardless of format flags), 2 means a usage or hypothesis error or
-a path that cannot be read or written, and 141 (128 + SIGPIPE) means the
-reader closed the output pipe early, as ``| head`` does, so the run
-stopped without a verdict.
+JSON regardless of format flags), 2 means a usage or hypothesis error, a
+path that cannot be read or written, or a DP too large to hold, and 141
+(128 + SIGPIPE) means the reader closed the output pipe early, as
+``| head`` does, so the run stopped without a verdict.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .sets import IntegerSet, gaps, is_arithmetic_progression, make_set
 from .verify import (check_ap_iff, check_direct, check_inverse,
                      check_partial_inverse, check_prefix_decomposition,
                      check_special_direct)
-
-OPERATORS = {op.value: op for op in Operator}
-FAMILIES = {f.value: f for f in Family}
-
 
 def _parse_set(args: argparse.Namespace) -> IntegerSet:
     if args.set_file is not None:
@@ -61,7 +57,7 @@ def _finish(as_json: bool, payload: dict, lines: list[str],
 
 def cmd_sumset(args: argparse.Namespace) -> int:
     a = _parse_set(args)
-    op = OPERATORS[args.op]
+    op = Operator(args.op)
     result = compute_sumset(a, args.h, op)
     lines = [f"set: {a}",
              f"operator: {op.value}  h: {args.h}",
@@ -178,7 +174,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     space = SearchSpace(k=args.k, h=args.h, max_element=args.max,
-                        family=FAMILIES[args.family],
+                        family=Family(args.family),
                         filter_id="primitive" if args.primitive_only else None)
     space.check_budget(args.budget)  # before the CSV path is opened
     csv_fh = None
@@ -206,7 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     space = SearchSpace(k=args.k, h=args.h, max_element=args.max,
-                        family=FAMILIES[args.family])
+                        family=Family(args.family))
     summary = random_probe(space, args.trials, args.seed)
     return _finish(args.json, summary.to_dict(), [
         f"trials: {summary.trials}  seed: {summary.seed}  "
@@ -237,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sumset", help="compute one sumset")
     _add_set_arguments(p)
     p.add_argument("--h", type=int, required=True, help="fold")
-    p.add_argument("--op", choices=sorted(OPERATORS), required=True)
+    p.add_argument("--op", choices=sorted(op.value for op in Operator),
+                   required=True)
     p.add_argument("--full", action="store_true",
                    help="list every sum, not just the cardinality")
     p.add_argument("--json", action="store_true")
@@ -261,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--max", type=int, required=True,
                    help="largest allowed element M")
-    p.add_argument("--family", choices=sorted(FAMILIES), default="positive")
+    p.add_argument("--family", choices=sorted(f.value for f in Family),
+                   default="positive")
     p.add_argument("--emit", choices=EMIT_MODES, default="interesting")
     p.add_argument("--csv", help="write records as CSV to a path, or - for stdout")
     p.add_argument("--json", action="store_true")
@@ -280,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--family", choices=sorted(FAMILIES), default="positive")
+    p.add_argument("--family", choices=sorted(f.value for f in Family),
+                   default="positive")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="explicit seed; there is no wall-clock default")

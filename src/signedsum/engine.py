@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .sets import IntegerSet
 
-MAX_SUM_RANGE = 2**40
+MAX_DP_BITS = 2**30  # 128 MiB across the h + 1 weight rows
 NAIVE_VECTOR_LIMIT = 10**8
 
 
@@ -78,13 +78,17 @@ class SumsetResult:
 
 
 def _guard(h: int, k: int, restricted: bool, half_width: int) -> None:
-    """Refuse a fold below 1, a restricted fold above k, and a bitmap
-    whose half-width exceeds ``MAX_SUM_RANGE``."""
+    """Refuse a fold below 1, a restricted fold above k, and DP rows of
+    more than ``MAX_DP_BITS`` bits in all.
+
+    The DP holds h + 1 rows of 2 * half_width + 1 bits each, so a narrow
+    set with a huge unrestricted fold is refused as well as a wide one.
+    """
     if h < 1:
         raise ValueError("h must be a positive integer")
     if restricted and h > k:
         raise ValueError("h exceeds |A|")
-    if half_width > MAX_SUM_RANGE:
+    if (h + 1) * (2 * half_width + 1) > MAX_DP_BITS:
         raise ValueError("range overflow")
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 from .bounds import BoundFormula, Family
 from .engine import prefix_cardinalities
-from .sets import IntegerSet, StructureClass, classify_structure
+from .sets import IntegerSet, Record, StructureClass, classify_structure
 
 DEFAULT_BUDGET = 10**7
 EMIT_MODES = ("interesting", "all", "none")
@@ -104,7 +104,7 @@ class SearchSpace:
 
 
 @dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(Record):
     """One candidate set with its measured cardinality and status."""
 
     set: IntegerSet
@@ -112,15 +112,6 @@ class SearchRecord:
     slack: int
     equality: bool
     structure: StructureClass
-
-    def to_dict(self) -> dict:
-        return {
-            "set": self.set.to_list(),
-            "cardinality": self.cardinality,
-            "slack": self.slack,
-            "equality": self.equality,
-            "structure": self.structure.to_dict(),
-        }
 
     def to_csv_row(self) -> str:
         d = "" if self.structure.d is None else str(self.structure.d)

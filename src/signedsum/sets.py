@@ -6,7 +6,7 @@ be used from concurrent sweeps without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -17,8 +17,29 @@ class StructureKind(Enum):
     NONE = "NONE"
 
 
+class Record:
+    """Base of the dataclass reports whose JSON keys are their fields.
+
+    ``to_dict`` gives every field in field order, a set as its list, an
+    enum as its value and a nested record as its dict.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, IntegerSet):
+        return value.to_list()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Record):
+        return value.to_dict()
+    return value
+
+
 @dataclass(frozen=True)
-class StructureClass:
+class StructureClass(Record):
     """Classification of a set against the extremal families.
 
     ``d`` is the positive dilation factor (for the dilate kinds) or the
@@ -27,9 +48,6 @@ class StructureClass:
 
     kind: StructureKind
     d: int | None = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "d": self.d}
 
 
 _NOT_STRUCTURED = StructureClass(StructureKind.NONE)  # immutable, so shared

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from . import bounds
 from .bounds import Family
 from .engine import Operator, compute_sumset, sumset_cardinality
-from .sets import (IntegerSet, StructureClass, classify_structure,
+from .sets import (IntegerSet, Record, StructureClass, classify_structure,
                    is_arithmetic_progression, make_set)
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """One set measured against one lower bound.
 
     Negative slack means the bound was violated: a counterexample, which is
@@ -40,17 +40,8 @@ class BoundReport:
         return self.slack >= 0
 
     def to_dict(self, structure: StructureClass | None = None) -> dict:
-        return {
-            "set": self.set.to_list(),
-            "h": self.h,
-            "operator": self.operator.value,
-            "cardinality": self.cardinality,
-            "bound_name": self.bound_name,
-            "bound_value": self.bound_value,
-            "slack": self.slack,
-            "equality": self.equality,
-            "structure": structure.to_dict() if structure else None,
-        }
+        return {**super().to_dict(),
+                "structure": structure.to_dict() if structure else None}
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,7 @@ class InverseVerdict:
 
 
 @dataclass(frozen=True)
-class PrefixDecompositionReport:
+class PrefixDecompositionReport(Record):
     """Audit of the prefix-surplus inequality.
 
     With t the surplus of the prefix sumset over its base cardinality, the
@@ -95,24 +86,9 @@ class PrefixDecompositionReport:
     cardinality: int
     holds: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "set": self.set.to_list(),
-            "h": self.h,
-            "prefix": self.prefix.to_list(),
-            "prefix_cardinality": self.prefix_cardinality,
-            "threshold": self.threshold,
-            "t": self.t,
-            "applicable": self.applicable,
-            "asserted_bound": self.asserted_bound,
-            "cardinality": self.cardinality,
-            "holds": self.holds,
-        }
-
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Record):
     """One side condition of the conditional inverse theorem.
 
     ``conclusion_verified`` is None unless the full hypothesis (bound
@@ -123,16 +99,9 @@ class ConditionCheck:
     applicable: bool
     conclusion_verified: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "applicable": self.applicable,
-            "conclusion_verified": self.conclusion_verified,
-        }
-
 
 @dataclass(frozen=True)
-class ApIffReport:
+class ApIffReport(Record):
     """Exact-cardinality iff check on an (h+1)-term arithmetic progression."""
 
     a1: int
@@ -145,20 +114,6 @@ class ApIffReport:
     equality_observed: bool
     iff_holds: bool
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "a1": self.a1,
-            "d": self.d,
-            "h": self.h,
-            "set": self.set.to_list(),
-            "cardinality": self.cardinality,
-            "target": self.target,
-            "d_is_twice_min": self.d_is_twice_min,
-            "equality_observed": self.equality_observed,
-            "iff_holds": self.iff_holds,
-            "holds": self.holds,
-        }
 
 
 def _measure(a: IntegerSet, h: int, bound_name: str,

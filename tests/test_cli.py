@@ -13,8 +13,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # Stdout and exit code of each report, byte for byte: every check theorem
-# in both formats, the counterexample dump, an inapplicable lemma, and the
-# plain sweep and probe summaries.
+# in both formats, the counterexample dump, an inapplicable lemma, the
+# plain sweep and probe summaries, and the bounds, sweep and probe JSON,
+# whose key order a parsed comparison would not see.
 PINNED = [
     ('check --set 1,2,4,6,10 --h 4 --theorem direct', 0,
      'set: {1,2,4,6,10}  h: 4\n'
@@ -114,6 +115,37 @@ PINNED = [
      'trials: 300  seed: 7  bound: 25\n'
      'min slack: 0  equality cases: 2  violations: 0\n'
      ),
+    ('bounds --h 4 --k 6 --json', 0,
+     '{"h": 4, "k": 6, "bounds": [{"name": "general-positive", "value": 27, '
+     '"hypothesis": "k nonnegative elements with 0 not in A, 1 <= h <= k", '
+     '"sharp": false}, {"name": "general-zero", "value": 23, '
+     '"hypothesis": "k nonnegative elements with 0 in A, 1 <= h <= k", '
+     '"sharp": false}, {"name": "optimal-positive", "value": 33, '
+     '"hypothesis": "k >= 4 positive elements, 3 <= h <= k-1", '
+     '"sharp": true}, {"name": "optimal-zero", "value": 29, '
+     '"hypothesis": "k >= 5 nonnegative elements with 0 in A, '
+     '3 <= h <= k-1", "sharp": true}, {"name": "ap-equal-difference", '
+     '"value": 33, "hypothesis": "k-term positive AP with d = 2*min(A), '
+     '3 <= h <= k-1", "sharp": true}, {"name": "ap-other-difference", '
+     '"value": 34, "hypothesis": "k-term positive AP with d != 2*min(A), '
+     '3 <= h <= k-1", "sharp": false}, {"name": "zero-ap-interval", '
+     '"value": 29, "hypothesis": "A = d * [0, k-1], 4 <= h <= k-1 '
+     '(exact cardinality)", "sharp": true}]}\n'
+     ),
+    ('sweep --k 5 --h 4 --max 16 --family zero-based --threads 1 --json', 0,
+     '{"space": {"k": 5, "h": 4, "max_element": 16, "family": "zero-based", '
+     '"filter": null}, "bound": 21, "visited": 1820, "min_cardinality": 21, '
+     '"equality_count": 6, "violation_count": 0, "equality_sets": '
+     '[[0, 1, 2, 3, 4], [0, 1, 2, 4, 6], [0, 2, 4, 6, 8], [0, 2, 4, 8, 12], '
+     '[0, 3, 6, 9, 12], [0, 4, 8, 12, 16]], "violations": []}\n'
+     ),
+    ('probe --k 5 --h 4 --max 10 --trials 300 --seed 7 --json', 0,
+     '{"space": {"k": 5, "h": 4, "max_element": 10, "family": "positive", '
+     '"filter": null}, "bound": 25, "trials": 300, "seed": 7, '
+     '"min_slack": 0, "violation_count": 0, "violations": [], '
+     '"equality_count": 2, "equality_sets": [[1, 3, 5, 7, 9], '
+     '[1, 3, 5, 7, 9]]}\n'
+     ),
 ]
 
 
@@ -175,6 +207,15 @@ class TestSumsetCommand:
                                "--op", "restricted")
         assert code == 2
         assert "--set" in err
+
+    @pytest.mark.parametrize("argv", [
+        # a 2 * 10^11-bit row, and 100,001 rows of 200,001 bits
+        "--set 1,100000000000 --h 1 --op restricted-signed",
+        "--set 1 --h 100000 --op classical",
+    ])
+    def test_oversized_dp_is_refused_before_allocation(self, capsys, argv):
+        assert run_cli(capsys, "sumset", *argv.split()) == (
+            2, "", "error: range overflow\n")
 
 
 class TestBoundsCommand:

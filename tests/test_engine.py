@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from signedsum import (IntegerSet, Operator, compute_sumset,
                        compute_sumset_naive, dilate, make_set,
                        sumset_cardinality)
-from signedsum.engine import _decode, naive_vector_count, prefix_cardinalities
+from signedsum.engine import (MAX_DP_BITS, _decode, _guard, naive_vector_count,
+                              prefix_cardinalities)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -77,6 +78,16 @@ class TestPreconditions:
             compute_sumset(make_set([1, 2**41]), 1, RS)
         with pytest.raises(ValueError, match="range overflow"):
             compute_sumset(make_set([2**39]), 4, Operator.SIGNED)
+
+    def test_dp_size_limit_counts_rows_and_width(self):
+        # (h + 1) rows of 2 * half_width + 1 bits; nothing is allocated
+        assert MAX_DP_BITS == 2**30
+        _guard(3, 5, True, 2**27 - 1)  # 4 * (2**28 - 1) bits
+        with pytest.raises(ValueError, match="range overflow"):
+            _guard(3, 5, True, 2**27)  # 4 * (2**28 + 1) bits
+        _guard(2**30 - 1, 1, False, 0)  # 2**30 rows of one bit
+        with pytest.raises(ValueError, match="range overflow"):
+            _guard(2**30, 1, False, 0)
 
     def test_oracle_refuses_oversized_instances(self):
         a = make_set(range(1, 31))

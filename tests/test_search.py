@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd
 
@@ -124,6 +125,16 @@ class TestSweep:
         row = summary.equality_sets[0].to_csv_row()
         assert row == "1,3,5,7,9;25;0;true;ODD_AP_DILATE;1"
         assert CSV_HEADER == "set;cardinality;slack;equality;structure_kind;d"
+
+    def test_record_json_bytes(self):
+        # no CLI report prints a record unless a violation exists
+        records = []
+        sweep(space_h4_positive(18), emit="all", on_record=records.append)
+        [record] = [r for r in records if r.set.elements == (2, 6, 10, 14, 18)]
+        assert json.dumps(record.to_dict()) == (
+            '{"set": [2, 6, 10, 14, 18], "cardinality": 25, "slack": 0, '
+            '"equality": true, "structure": {"kind": "ODD_AP_DILATE", '
+            '"d": 2}}')
 
 
 class TestRandomProbe:
