@@ -14,7 +14,10 @@ state value is a dense bitmap of achievable partial sums, held in a Python
 int so transitions are single shift-or operations. One transition,
 ``_step``, serves both the per-set DP and the sweep's prefix walk
 (``prefix_cardinalities``), which extends each shared prefix's rows once
-instead of rerunning the DP for every candidate. The naive path literally
+instead of rerunning the DP for every candidate. Given a limit, the walk
+is branch and bound: it skips every prefix whose completions must all
+have more sums than the limit, by an increment of 2h sums per added
+element that is proved in its docstring. The naive path literally
 enumerates every admissible coefficient vector and exists purely to
 cross-check the fast path.
 """
@@ -25,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .sets import IntegerSet
 
@@ -172,8 +175,11 @@ def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
     return _achievable(a.elements, h, op, half_width).bit_count()
 
 
-def prefix_cardinalities(head: tuple[int, ...], h: int, max_element: int,
-                         k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def prefix_cardinalities(
+        head: tuple[int, ...], h: int, max_element: int, k: int,
+        limit: int | None = None,
+        on_prune: Callable[[tuple[int, ...]], None] | None = None,
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield ``(candidate, |h^+- candidate|)`` for every k-set extending ``head``.
 
     ``head`` is a non-empty increasing tuple of integers in
@@ -186,6 +192,26 @@ def prefix_cardinalities(head: tuple[int, ...], h: int, max_element: int,
     range guard runs once here rather than once per candidate. Rows that can
     no longer reach weight h are dropped, and at the last element only row h
     is formed.
+
+    With a ``limit``, the walk is branch and bound. A prefix ``A_j`` longer
+    than ``head``, of ``h <= j < k`` elements, with
+    ``|h^+-A_j| + 2h(k - j) > limit`` is not extended: it is passed to
+    ``on_prune``, which a limit requires, and none of its candidates is
+    yielded. They all have more than ``limit`` sums, because every
+    completion ``A`` of ``A_j`` has
+
+        |h^+-A| >= |h^+-A_j| + 2h(k - j).
+
+    Proof: let ``T`` be the sum of the top h elements of ``A_j``, which is
+    ``max h^+-A_j`` as the elements are non-negative, so ``h^+-A_j`` lies in
+    ``[-T, T]``. Add an element ``x > max A_j``. Padding a coefficient
+    vector with a zero keeps every sum of ``A_j``. For each of the top h
+    indices i, swapping ``a_i`` for ``x`` gives the all-plus sum
+    ``x + T - a_i``: these h sums are distinct and above ``T``, and their
+    negatives are below ``-T``. So ``x`` adds at least 2h sums, and the
+    extended prefix again has at least h non-negative elements, so the
+    step repeats for each of the ``k - j`` elements still to come. The
+    proof uses nothing from the paper.
     """
     half_width = h * max_element
     _guard(h, k, True, half_width)
@@ -193,25 +219,46 @@ def prefix_cardinalities(head: tuple[int, ...], h: int, max_element: int,
     dp[0] = 1 << half_width
     for i, a in enumerate(head):
         dp = _step(dp, a, False, True, h - (k - 1 - i))
-    return _extend(head, dp, h, max_element, k)
+    # A prefix of j elements has at most C(j, h) * 2^h sums, so its floor
+    # is at most C(j, h) * 2^h + 2h(k - j). From j to j + 1 that gains
+    # C(j, h - 1) * 2^h >= 2^h >= 2h and loses 2h, so it never falls. If
+    # even the longest checked prefix, of k - 1 elements, cannot exceed the
+    # limit, no prefix can, and the checks are skipped.
+    if limit is not None and comb(k - 1, h) * 2**h + 2 * h <= limit:
+        limit = None
+    return _extend(head, dp, h, max_element, k, limit, on_prune)
+
+
+def _completion_floor(card: int, h: int, more: int) -> int:
+    """The fewest sums of any set made by adding ``more`` larger elements
+    to a prefix of at least h non-negative elements with ``card`` sums."""
+    return card + 2 * h * more
 
 
 def _extend(prefix: tuple[int, ...], dp: list[int], h: int, max_element: int,
-            k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+            k: int, limit: int | None,
+            on_prune: Callable[[tuple[int, ...]], None] | None
+            ) -> Iterator[tuple[tuple[int, ...], int]]:
     left = k - len(prefix) - 1  # elements still to place after the next one
     stop = max_element - left + 1
+    below, row = dp[h - 1], dp[h]
     if left < 0:
-        yield prefix, dp[h].bit_count()
+        yield prefix, row.bit_count()
     elif left == 0:
         # the last element: only row h is needed, i.e. _step(dp, a, ..., h)[h]
-        below, row = dp[h - 1], dp[h]
         for a in range(prefix[-1] + 1, stop):
             yield prefix + (a,), (_move(below, a, True) | row).bit_count()
     else:
+        bounded = limit is not None and len(prefix) + 1 >= h
         for a in range(prefix[-1] + 1, stop):
-            yield from _extend(prefix + (a,),
-                               _step(dp, a, False, True, h - left),
-                               h, max_element, k)
+            # the child's row h alone decides whether its subtree is pruned
+            if bounded and _completion_floor(
+                    (_move(below, a, True) | row).bit_count(), h, left) > limit:
+                on_prune(prefix + (a,))
+            else:
+                yield from _extend(prefix + (a,),
+                                   _step(dp, a, False, True, h - left),
+                                   h, max_element, k, limit, on_prune)
 
 
 # --- naive oracle -----------------------------------------------------------

@@ -14,11 +14,19 @@ each shared prefix once rather than rerunning the DP for every candidate.
 A shard returns plain ``(candidate, cardinality)`` rows, so only ints and
 tuples of ints cross the process boundary, and each record is built once,
 in the parent, while the shards are merged.
+
+Unless every record is emitted, the walk prunes: the parent measures one
+witness set of the space, and each shard skips every prefix whose
+completions must all have more sums than both the bound and that
+witness. Such sets can be neither an equality case, a violation nor the
+minimum. Their candidates are counted, not measured, so ``visited`` stays
+exact; ``SweepSummary.measured`` counts the sets the walk measured.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -89,6 +97,27 @@ class SearchSpace:
         for tail in itertools.combinations(rest, self.k - len(key)):
             yield key + tail
 
+    def completion_count(self, prefix: tuple[int, ...]) -> int:
+        """Number of candidates that extend ``prefix``, which holds a
+        nonzero element, counted without visiting them."""
+        n = self.k - len(prefix)
+        m, last = self.max_element, prefix[-1]
+        if self.filter_id is None:
+            return comb(m - last, n)
+        # Moebius inversion over the divisors d of g = gcd(prefix): the
+        # completions whose new elements are all multiples of d number
+        # C(M//d - last//d, n), and mu(d) is nonzero only for squarefree d
+        g = gcd(*prefix)
+        divisors = [(1, 1)]  # (d, mu(d)) over the squarefree divisors of g
+        p = 2
+        while g > 1:
+            if g % p == 0:
+                divisors += [(d * p, -mu) for d, mu in divisors]
+                while g % p == 0:
+                    g //= p
+            p += 1
+        return sum(mu * comb(m // d - last // d, n) for d, mu in divisors)
+
     def candidates(self) -> Iterator[tuple[int, ...]]:
         for key in self.shard_keys():
             yield from self.shard_candidates(key)
@@ -130,8 +159,14 @@ CSV_HEADER = "set;cardinality;slack;equality;structure_kind;d"
 
 @dataclass
 class SweepSummary:
+    """``visited`` counts every candidate of the space that passes the
+    filter; ``measured`` counts those whose cardinality the walk formed,
+    and the rest were counted in pruned subtrees. ``measured`` is not part
+    of ``to_dict()``."""
+
     space: SearchSpace
     visited: int
+    measured: int
     min_cardinality: int | None
     equality_count: int
     violation_count: int
@@ -164,31 +199,59 @@ def _record(candidate: tuple[int, ...], card: int,
     return SearchRecord(a, card, slack, slack == 0, classify_structure(a))
 
 
-def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], str]
-                 ) -> tuple[int, int | None, list[tuple[tuple[int, ...], int]]]:
-    """Visit one shard; returns (visited, min_card, rows).
+def _prune_limit(space: SearchSpace) -> int:
+    """The larger of the bound and the cardinality of a witness set.
 
-    ``rows`` holds plain ``(candidate, cardinality)`` pairs in walk order:
-    every visited candidate when ``emit`` is "all", otherwise only those at
-    or below the bound. Only ints and tuples of ints cross the process
-    boundary; the records are built in the parent.
+    The witness lies in the space and contains 1, so it passes the
+    primitive filter too, and the space's minimum is at most its
+    cardinality. A set above this limit is therefore never an equality
+    case, a violation or the minimum, and the walk may prune it.
     """
-    space, key, emit = args
-    keep_all = emit == "all"
+    k, m = space.k, space.max_element
+    if space.family is Family.ZERO_BASED:
+        witness = tuple(range(k))
+    elif 2 * k - 1 <= m:
+        witness = tuple(range(1, 2 * k, 2))
+    else:
+        witness = tuple(range(1, k + 1))
+    [(_, card)] = prefix_cardinalities(witness, space.h, m, k)
+    return max(space.bound().value, card)
+
+
+def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None]
+                 ) -> tuple[int, int | None, list[tuple[tuple[int, ...], int]],
+                            int]:
+    """Visit one shard; returns (visited, min_card, rows, measured).
+
+    With ``limit`` None every candidate is measured and ``rows`` holds a
+    plain ``(candidate, cardinality)`` pair for each, in walk order.
+    Otherwise the walk skips each subtree whose sets all exceed ``limit``
+    and only counts its candidates, ``rows`` holds only the candidates at
+    or below the bound, and ``min_card`` is the least measured
+    cardinality. Only ints and tuples of ints cross the process boundary;
+    the records are built in the parent.
+    """
+    space, key, limit = args
+    keep_all = limit is None
     bound_value = space.bound().value
-    visited = 0
+    pruned = measured = 0
     min_card: int | None = None
     rows: list[tuple[tuple[int, ...], int]] = []
+
+    def count(prefix: tuple[int, ...]) -> None:
+        nonlocal pruned
+        pruned += space.completion_count(prefix)
+
     for candidate, card in prefix_cardinalities(key, space.h, space.max_element,
-                                                space.k):
+                                                space.k, limit, count):
         if not _passes_filter(space, candidate):
             continue
-        visited += 1
+        measured += 1
         if min_card is None or card < min_card:
             min_card = card
         if keep_all or card <= bound_value:
             rows.append((candidate, card))
-    return visited, min_card, rows
+    return pruned + measured, min_card, rows, measured
 
 
 def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
@@ -199,33 +262,40 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     Raises before starting if the space exceeds ``budget`` candidate sets.
     ``on_record`` receives emitted records in deterministic (lexicographic)
     order; ``emit`` selects all records, only equality/violation records,
-    or none. With ``workers > 1`` shards run in separate processes. Either
-    way a shard returns only ``(candidate, cardinality)`` rows, and each
-    record is built once, here, while the shards are merged in shard
-    order, so results and callback order do not depend on the worker
-    count. A shard is merged, and its records passed to ``on_record``, as
-    soon as it and every earlier shard are done, so records are not held
-    until the whole sweep ends.
+    or none. Unless every record is emitted, the walk prunes each subtree
+    whose sets must all exceed ``_prune_limit``: it counts them in
+    ``visited`` without measuring them, and none of them could be an
+    emitted record or the minimum. With ``workers > 1`` shards run in
+    separate processes, at most one per shard and per CPU. Either way a
+    shard returns only ``(candidate, cardinality)`` rows, and each record
+    is built once, here, while the shards are merged in shard order, so
+    results and callback order do not depend on the worker count. A shard
+    is merged, and its records passed to ``on_record``, as soon as it and
+    every earlier shard are done, so records are not held until the whole
+    sweep ends.
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
     space.check_budget(budget)
     emitting = on_record is not None and emit != "none"
-    # with no consumer, shards ship only the rows the summary keeps
-    args = [(space, key, emit if emitting else "none")
-            for key in space.shard_keys()]
+    # only a consumer of every record needs every set measured; otherwise
+    # shards ship only the rows the summary keeps
+    limit = None if emitting and emit == "all" else _prune_limit(space)
+    args = [(space, key, limit) for key in space.shard_keys()]
     bound_value = space.bound().value
-    visited = 0
+    visited = measured = 0
     min_card: int | None = None
     equality_sets: list[SearchRecord] = []
     violations: list[SearchRecord] = []
+    workers = min(workers, len(args), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         # either map yields each shard's result in shard order once it is done
         shard_results = (map(_sweep_shard, args) if pool is None
                          else pool.map(_sweep_shard, args))
-        for shard_visited, shard_min, rows in shard_results:
+        for shard_visited, shard_min, rows, shard_measured in shard_results:
             visited += shard_visited
+            measured += shard_measured
             if shard_min is not None and (min_card is None
                                           or shard_min < min_card):
                 min_card = shard_min
@@ -242,8 +312,9 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
             # after an error, such as a closed output pipe, queued shards
             # are dropped rather than run for nobody
             pool.shutdown(cancel_futures=True)
-    return SweepSummary(space, visited, min_card, len(equality_sets),
-                        len(violations), equality_sets, violations)
+    return SweepSummary(space, visited, measured, min_card,
+                        len(equality_sets), len(violations), equality_sets,
+                        violations)
 
 
 @dataclass

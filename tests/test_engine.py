@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from signedsum import (IntegerSet, Operator, compute_sumset,
                        compute_sumset_naive, dilate, make_set,
                        sumset_cardinality)
-from signedsum.engine import (MAX_DP_BITS, _decode, _guard, naive_vector_count,
-                              prefix_cardinalities)
+from signedsum.engine import (MAX_DP_BITS, _completion_floor, _decode, _guard,
+                              naive_vector_count, prefix_cardinalities)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -228,6 +228,56 @@ class TestPrefixWalk:
                                            4 - len(head))
             assert walked == [(head + t, sumset_cardinality(
                 IntegerSet(head + t), 3, RS)) for t in tails]
+
+    def test_limit_prunes_only_subtrees_above_it(self):
+        pruned = 0
+        for zero_based in (False, True):
+            for k in (5, 6):
+                free = k - 1 if zero_based else k
+                for max_element in (free + 1, free + 4):
+                    for h in range(1, k + 1):
+                        for head in self.heads(max_element, k, zero_based):
+                            full = list(prefix_cardinalities(
+                                head, h, max_element, k))
+                            cards = sorted(card for _, card in full)
+                            for limit in {cards[0], cards[len(cards) // 2],
+                                          cards[-1] - 1}:
+                                skipped = []
+                                measured = list(prefix_cardinalities(
+                                    head, h, max_element, k, limit,
+                                    skipped.append))
+                                assert set(measured) <= set(full)
+                                for prefix in skipped:
+                                    j = len(prefix)
+                                    assert len(head) < j < k and j >= h
+                                    subtree = [row for row in full
+                                               if row[0][:j] == prefix]
+                                    assert subtree
+                                    assert all(c > limit for _, c in subtree)
+                                    measured += subtree
+                                assert sorted(measured) == full, (head, h,
+                                                                  limit)
+                                pruned += len(skipped)
+        assert pruned > 0
+
+    @pytest.mark.parametrize("h", [3, 4, 5])
+    def test_each_larger_element_adds_at_least_2h_sums(self, h):
+        sizes = {}
+
+        def size(elements):
+            if elements not in sizes:
+                sizes[elements] = compute_sumset_naive(
+                    IntegerSet(elements), h, RS).cardinality
+            return sizes[elements]
+
+        for fixed in ((), (0,)):
+            for j in range(h, 7):
+                for rest in itertools.combinations(range(1, 10),
+                                                   j - len(fixed)):
+                    prefix = fixed + rest
+                    floor = _completion_floor(size(prefix), h, 1)
+                    for x in range(prefix[-1] + 1, 12):
+                        assert size(prefix + (x,)) >= floor, (prefix, x)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="positive"):

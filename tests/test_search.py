@@ -1,5 +1,8 @@
+import itertools
 import json
+import os
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from signedsum import (Family, IntegerSet, Operator, SearchSpace,
                        StructureKind, check_direct, classify_structure,
                        random_probe, search, sumset_cardinality, sweep)
-from signedsum.search import CSV_HEADER, ProbeSummary, SearchRecord
+from signedsum.search import (CSV_HEADER, EMIT_MODES, FILTER_IDS, ProbeSummary,
+                              SearchRecord)
 
 
 def space_h4_positive(max_element=20):
@@ -284,10 +288,14 @@ class TestPrefixSharedSweep:
         space = SearchSpace(k=6, h=4, max_element=12, family=Family.ZERO_BASED,
                             filter_id="primitive")
         bound = space.bound().value
+        # the shard argument sweep() passes when it emits in this mode
+        limit = None if emit == "all" else search._prune_limit(space)
         rows_seen = 0
         for key in space.shard_keys():
-            visited, min_card, rows = search._sweep_shard((space, key, emit))
+            visited, min_card, rows, measured = search._sweep_shard(
+                (space, key, limit))
             assert type(visited) is int and type(min_card) in (int, type(None))
+            assert type(measured) is int
             for candidate, card in rows:
                 assert type(candidate) is tuple
                 assert all(type(x) is int for x in candidate)
@@ -329,3 +337,128 @@ class TestPrefixSharedSweep:
         assert shards_run == len(space.shard_keys()) > 1
         assert seen_at[0] == 1
         assert seen_at == sorted(seen_at)
+
+
+def _every_small_space():
+    """Both families, k 4..7, every h, the primitive filter, and M from
+    the free count up: M < 2k-1 leaves the positive family with no
+    equality set, and its minimum above the bound."""
+    for family in Family:
+        for k in range(4, 8):
+            free = k - len(family.fixed)
+            for max_element in sorted({free, 2 * k - 2, 2 * k + 1}):
+                for h in range(3, k):
+                    for filter_id in FILTER_IDS:
+                        try:
+                            yield SearchSpace(k=k, h=h, max_element=max_element,
+                                              family=family,
+                                              filter_id=filter_id)
+                        except ValueError:  # outside the family's window
+                            pass
+
+
+def _assert_pruned_sweeps_match_unpruned(space, workers):
+    records = []
+    reference = sweep(space, emit="all", on_record=records.append)
+    assert reference.measured == reference.visited
+    expected = reference.to_dict()
+    interesting = [r.to_dict() for r in records if r.slack <= 0]
+    for emit in EMIT_MODES:
+        seen = []
+        summary = sweep(space, workers=workers, emit=emit,
+                        on_record=lambda r: seen.append(r.to_dict()))
+        assert summary.to_dict() == expected, (space, emit)
+        if emit == "interesting":
+            assert seen == interesting, space
+        elif emit == "none":
+            assert seen == []
+    summary = sweep(space, workers=workers)
+    assert summary.to_dict() == expected, space
+    assert summary.measured <= summary.visited
+    return summary
+
+
+class TestBranchAndBound:
+    def test_pruned_sweeps_match_unpruned_on_every_small_space(self):
+        spaces = list(_every_small_space())
+        pruned = 0
+        for space in spaces:
+            summary = _assert_pruned_sweeps_match_unpruned(space, 1)
+            pruned += summary.measured < summary.visited
+        assert len(spaces) > 100 and pruned > 50
+        # the positive family has no equality set when 2k - 1 > M
+        for space in spaces:
+            if (space.family is Family.POSITIVE
+                    and space.max_element < 2 * space.k - 1):
+                summary = sweep(space)
+                assert summary.equality_count == 0
+                assert summary.min_cardinality > space.bound().value
+
+    @pytest.mark.parametrize("space", [
+        SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE,
+                    filter_id="primitive"),
+        SearchSpace(k=6, h=4, max_element=9, family=Family.POSITIVE),
+        SearchSpace(k=6, h=3, max_element=12, family=Family.ZERO_BASED),
+        SearchSpace(k=6, h=5, max_element=12, family=Family.ZERO_BASED,
+                    filter_id="primitive"),
+    ])
+    def test_pruned_sweeps_match_unpruned_with_two_workers(self, space):
+        _assert_pruned_sweeps_match_unpruned(space, 2)
+
+    def test_measured_counts_only_the_sets_the_walk_formed(self):
+        space = SearchSpace(k=7, h=5, max_element=20, family=Family.POSITIVE)
+        summary = sweep(space)
+        assert summary.visited == 77520
+        assert summary.measured < 100
+        assert "measured" not in summary.to_dict()
+        primitive = SearchSpace(k=6, h=4, max_element=13,
+                                family=Family.ZERO_BASED, filter_id="primitive")
+        full = sweep(primitive, emit="all", on_record=lambda r: None)
+        assert full.measured == full.visited < primitive.size()
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("filter_id", FILTER_IDS)
+    def test_completion_count_matches_enumeration(self, family, filter_id):
+        k = 6
+        for max_element in (k, 12, 16):
+            space = SearchSpace(k=k, h=4, max_element=max_element,
+                                family=family, filter_id=filter_id)
+            kept = [c for c in space.candidates()
+                    if filter_id is None or gcd(*c) == 1]
+            for j in range(len(family.fixed) + 1, k + 1):
+                counts = Counter(c[:j] for c in kept)
+                for rest in itertools.combinations(
+                        range(1, max_element + 1), j - len(family.fixed)):
+                    prefix = family.fixed + rest
+                    assert space.completion_count(prefix) == counts[prefix], (
+                        prefix, max_element)
+
+    def test_pool_is_capped_by_shards_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class StubPool:
+            """Records the pool size and runs the shards in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        six = SearchSpace(k=5, h=4, max_element=7, family=Family.POSITIVE)
+        three = SearchSpace(k=5, h=4, max_element=6, family=Family.POSITIVE)
+        assert (len(six.shard_keys()), len(three.shard_keys())) == (6, 3)
+        expected = {s: sweep(s).to_dict() for s in (six, three)}
+        assert sizes == []
+        assert sweep(six, workers=5000).to_dict() == expected[six]
+        assert sweep(six, workers=3).to_dict() == expected[six]
+        assert sweep(three, workers=5000).to_dict() == expected[three]
+        assert sizes == [4, 3, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep(six, workers=5000).to_dict() == expected[six]
+        assert sizes == [4, 3, 3]  # one CPU: no pool at all
