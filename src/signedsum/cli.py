@@ -3,7 +3,8 @@
 Exit codes: 0 means every checked conclusion holds, 1 means a mathematical
 counterexample was found (the offending sets are dumped in plain text and
 JSON regardless of format flags), 2 means a usage or hypothesis error, a
-path that cannot be read or written, or a DP too large to hold, and 141
+sweep over its budget, a path that cannot be read or written, or a DP too
+large to hold, which a sweep refuses before it opens ``--csv``, and 141
 (128 + SIGPIPE) means the reader closed the output pipe early, as
 ``| head`` does, so the run stopped without a verdict.
 """
@@ -176,7 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     space = SearchSpace(k=args.k, h=args.h, max_element=args.max,
                         family=Family(args.family),
                         filter_id="primitive" if args.primitive_only else None)
-    space.check_budget(args.budget)  # before the CSV path is opened
+    space.admit(args.budget)  # before the CSV path is opened
     csv_fh = None
     if args.csv is not None:
         csv_fh = sys.stdout if args.csv == "-" else open(args.csv, "w")
@@ -302,18 +303,15 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it is caught first
         # Output still buffered for the closed pipe would fail again when
         # the interpreter flushes stdout on exit; send it to devnull.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE_CLOSED
-    except OSError as exc:  # an unreadable set file or unwritable CSV path
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # bad input, or a path that
+        print(f"error: {exc}", file=sys.stderr)  # cannot be read or written
         return 2
 
 

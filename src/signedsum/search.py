@@ -34,7 +34,7 @@ from math import comb, gcd
 from typing import Callable, Iterator
 
 from .bounds import BoundFormula, Family
-from .engine import prefix_cardinalities
+from .engine import _guard, prefix_cardinalities
 from .sets import IntegerSet, Record, StructureClass, classify_structure
 
 DEFAULT_BUDGET = 10**7
@@ -57,14 +57,11 @@ class SearchSpace:
     filter_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not 3 <= self.h <= self.k - 1:
-            raise ValueError(
-                f"search requires 3 <= h <= k-1, got h={self.h}, k={self.k}")
+        self.bound()  # validates the family's (h, k) window
         if self.filter_id not in FILTER_IDS:
             raise ValueError(f"unknown filter {self.filter_id!r}")
         if self.max_element < self.free:
             raise ValueError("space smaller than k")
-        self.bound()  # validates the family's (h, k) window
 
     @property
     def free(self) -> int:
@@ -77,12 +74,22 @@ class SearchSpace:
     def size(self) -> int:
         return comb(self.max_element, self.free)
 
-    def check_budget(self, budget: int) -> None:
-        """Refuse a space of more than ``budget`` candidate sets."""
-        size = self.size()
+    def admit(self, budget: int) -> None:
+        """Refuse a space of over ``budget`` candidate sets, then one whose
+        DP rows the walk would refuse. C(M, i) rises with i up to
+        min(free, M - free): it is built one factor at a time, and a count
+        past max(budget, 10**18) is named, not printed."""
+        m, free = self.max_element, self.free
+        size = 1
+        for i in range(min(free, m - free)):
+            size = size * (m - i) // (i + 1)
+            if size > max(budget, 10**18):
+                raise ValueError(f"budget exceeded: C({m}, {free}) candidate "
+                                 f"sets > budget {budget}")
         if size > budget:
             raise ValueError(
                 f"budget exceeded: {size} candidate sets > budget {budget}")
+        _guard(self.h, self.k, True, self.h * m)
 
     def shard_keys(self) -> list[tuple[int, ...]]:
         """Head of each shard, in lexicographic order: the two smallest free
@@ -259,7 +266,8 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
           on_record: Callable[[SearchRecord], None] | None = None) -> SweepSummary:
     """Visit every set in the space and summarize bound behaviour.
 
-    Raises before starting if the space exceeds ``budget`` candidate sets.
+    Raises before starting if the space exceeds ``budget`` candidate sets
+    or its DP rows are too large to walk (``SearchSpace.admit``).
     ``on_record`` receives emitted records in deterministic (lexicographic)
     order; ``emit`` selects all records, only equality/violation records,
     or none. Unless every record is emitted, the walk prunes each subtree
@@ -276,7 +284,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
-    space.check_budget(budget)
+    space.admit(budget)
     emitting = on_record is not None and emit != "none"
     # only a consumer of every record needs every set measured; otherwise
     # shards ship only the rows the summary keeps

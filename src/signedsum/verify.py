@@ -150,16 +150,8 @@ def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionRepo
     lifts the optimal bound on the full set by t.
     """
     family = Family.of(a)
-    if family is Family.ZERO_BASED:
-        if a.k < 5 or not 3 <= h <= a.k - 1:
-            raise ValueError(
-                f"zero-family decomposition requires k >= 5 and 3 <= h <= k-1, "
-                f"got h={h}, k={a.k}")
-    elif not 3 <= h <= a.k - 1:
-        raise ValueError(
-            f"decomposition requires 3 <= h <= k-1, got h={h}, k={a.k}")
+    base_bound = family.optimal_bound(h, a.k).value  # checks the window
     threshold = family.prefix_base(h)
-    base_bound = family.optimal_bound(h, a.k).value
     prefix = a.prefix(h + 1)
     prefix_card = sumset_cardinality(prefix, h, Operator.RESTRICTED_SIGNED)
     t = prefix_card - threshold

@@ -165,6 +165,32 @@ def test_report_bytes(capsys, argv, code, stdout):
     assert run_cli(capsys, *argv.split()) == (code, stdout, "")
 
 
+POSITIVE_WINDOW = ("error: optimal positive bound requires k >= 4 and "
+                   "3 <= h <= k-1, got h={}, k={}\n")
+ZERO_WINDOW = ("error: optimal zero bound requires k >= 5 and "
+               "3 <= h <= k-1, got h={}, k={}\n")
+
+# An (h, k) outside the paper's window is refused in the words of the
+# family's optimal bound, whichever verb is asked.
+REFUSED = [
+    ("sweep --k 7 --h 2 --max 20", POSITIVE_WINDOW.format(2, 7)),
+    ("sweep --k 6 --h 6 --max 12 --family zero-based",
+     ZERO_WINDOW.format(6, 6)),
+    ("probe --k 7 --h 2 --max 20 --trials 5 --seed 1",
+     POSITIVE_WINDOW.format(2, 7)),
+    ("check --set 1,2,3,4 --h 4 --theorem lemma-decomposition",
+     POSITIVE_WINDOW.format(4, 4)),
+    ("check --set 0,1,2,3,4 --h 2 --theorem lemma-decomposition",
+     ZERO_WINDOW.format(2, 5)),
+]
+
+
+@pytest.mark.parametrize("argv, stderr", REFUSED,
+                         ids=[argv for argv, _ in REFUSED])
+def test_window_refusal_bytes(capsys, argv, stderr):
+    assert run_cli(capsys, *argv.split()) == (2, "", stderr)
+
+
 class TestSumsetCommand:
     def test_cardinality_output(self, capsys):
         code, out, _ = run_cli(capsys, "sumset", "--set", "1,3,5,7,9",
@@ -422,6 +448,38 @@ class TestSweepCommand:
         assert code == 2
         assert "budget exceeded" in err
         assert path.read_text() == "earlier results\n"
+
+    def test_dp_refusal_leaves_csv_file_alone(self, tmp_path, capsys):
+        # within a 10^40 budget, but 4 rows of 6 * 10^8 bits: refused by
+        # the DP guard before anything is allocated or opened
+        path = tmp_path / "keep.csv"
+        path.write_text("earlier results\n")
+        assert run_cli(capsys, "sweep", "--k", "4", "--h", "3",
+                       "--max", "100000000", "--budget", str(10**40),
+                       "--csv", str(path)) == (2, "", "error: range overflow\n")
+        assert path.read_text() == "earlier results\n"
+
+    def test_budget_is_checked_before_dp_size(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--k", "4", "--h", "3",
+                                 "--max", "100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: budget exceeded: ")
+
+    @pytest.mark.parametrize("k, m", [(20000, 100000), (2000000, 10000000)])
+    def test_huge_space_is_refused_quickly(self, k, m):
+        # C(M, k) has tens of thousands, or millions, of digits; the
+        # refusal must not build it
+        env = dict(os.environ)
+        env.pop("SUMSET_BUDGET", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "signedsum.cli", "sweep", "--k", str(k),
+             "--h", "3", "--max", str(m)],
+            capture_output=True, text=True, env=env, timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: budget exceeded: C({m}, {k}) "
+                               f"candidate sets > budget 10000000\n")
 
     def test_budget_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSET_BUDGET", "50")

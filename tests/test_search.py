@@ -86,6 +86,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="budget exceeded"):
             sweep(space_h4_positive(), budget=1000)
 
+    def test_dp_size_refused_before_any_shard(self, monkeypatch):
+        monkeypatch.setattr(SearchSpace, "shard_keys",
+                            lambda self: pytest.fail("shard heads built"))
+        space = SearchSpace(k=4, h=3, max_element=10**8,
+                            family=Family.POSITIVE)
+        with pytest.raises(ValueError, match="range overflow"):
+            sweep(space, budget=10**40, emit="all", on_record=lambda r: None)
+
     def test_deterministic_summaries(self):
         first = sweep(space_h4_positive(16))
         second = sweep(space_h4_positive(16))
