@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .sets import IntegerSet
 
@@ -178,7 +178,6 @@ def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
 def prefix_cardinalities(
         head: tuple[int, ...], h: int, max_element: int, k: int,
         limit: int | None = None,
-        on_prune: Callable[[tuple[int, ...]], None] | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield ``(candidate, |h^+- candidate|)`` for every k-set extending ``head``.
 
@@ -195,10 +194,9 @@ def prefix_cardinalities(
 
     With a ``limit``, the walk is branch and bound. A prefix ``A_j`` longer
     than ``head``, of ``h <= j < k`` elements, with
-    ``|h^+-A_j| + 2h(k - j) > limit`` is not extended: it is passed to
-    ``on_prune``, which a limit requires, and none of its candidates is
-    yielded. They all have more than ``limit`` sums, because every
-    completion ``A`` of ``A_j`` has
+    ``|h^+-A_j| + 2h(k - j) > limit`` is not extended, and none of its
+    candidates is yielded. They all have more than ``limit`` sums, because
+    every completion ``A`` of ``A_j`` has
 
         |h^+-A| >= |h^+-A_j| + 2h(k - j).
 
@@ -226,7 +224,7 @@ def prefix_cardinalities(
     # limit, no prefix can, and the checks are skipped.
     if limit is not None and comb(k - 1, h) * 2**h + 2 * h <= limit:
         limit = None
-    return _extend(head, dp, h, max_element, k, limit, on_prune)
+    return _extend(head, dp, h, max_element, k, limit)
 
 
 def _completion_floor(card: int, h: int, more: int) -> int:
@@ -235,30 +233,39 @@ def _completion_floor(card: int, h: int, more: int) -> int:
     return card + 2 * h * more
 
 
-def _extend(prefix: tuple[int, ...], dp: list[int], h: int, max_element: int,
-            k: int, limit: int | None,
-            on_prune: Callable[[tuple[int, ...]], None] | None
+def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
+            k: int, limit: int | None
             ) -> Iterator[tuple[tuple[int, ...], int]]:
-    left = k - len(prefix) - 1  # elements still to place after the next one
-    stop = max_element - left + 1
-    below, row = dp[h - 1], dp[h]
-    if left < 0:
-        yield prefix, row.bit_count()
-    elif left == 0:
-        # the last element: only row h is needed, i.e. _step(dp, a, ..., h)[h]
-        for a in range(prefix[-1] + 1, stop):
-            yield prefix + (a,), (_move(below, a, True) | row).bit_count()
-    else:
+    """The walk below ``head``, whose rows are ``dp``. It keeps a stack with
+    one frame per depth, ``(prefix, rows, iterator over the elements still
+    to try next)``, rather than recursing, so k is not bounded by Python's
+    recursion limit."""
+    if len(head) == k:
+        yield head, dp[h].bit_count()
+        return
+    stack = [(head, dp, iter(range(head[-1] + 1,
+                                   max_element - k + len(head) + 2)))]
+    while stack:
+        prefix, dp, elements = stack[-1]
+        left = k - len(prefix) - 1  # elements to place after the next one
+        below, row = dp[h - 1], dp[h]
+        if left == 0:
+            # the last element forms only row h: _step(dp, a, ..., h)[h]
+            for a in elements:
+                yield prefix + (a,), (_move(below, a, True) | row).bit_count()
+            stack.pop()
+            continue
         bounded = limit is not None and len(prefix) + 1 >= h
-        for a in range(prefix[-1] + 1, stop):
+        for a in elements:
             # the child's row h alone decides whether its subtree is pruned
-            if bounded and _completion_floor(
-                    (_move(below, a, True) | row).bit_count(), h, left) > limit:
-                on_prune(prefix + (a,))
-            else:
-                yield from _extend(prefix + (a,),
-                                   _step(dp, a, False, True, h - left),
-                                   h, max_element, k, limit, on_prune)
+            if not bounded or _completion_floor(
+                    (_move(below, a, True) | row).bit_count(), h, left) <= limit:
+                stack.append((prefix + (a,),
+                              _step(dp, a, False, True, h - left),
+                              iter(range(a + 1, max_element - left + 2))))
+                break
+        else:
+            stack.pop()
 
 
 # --- naive oracle -----------------------------------------------------------

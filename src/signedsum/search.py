@@ -19,8 +19,9 @@ Unless every record is emitted, the walk prunes: the parent measures one
 witness set of the space, and each shard skips every prefix whose
 completions must all have more sums than both the bound and that
 witness. Such sets can be neither an equality case, a violation nor the
-minimum. Their candidates are counted, not measured, so ``visited`` stays
-exact; ``SweepSummary.measured`` counts the sets the walk measured.
+minimum. ``visited`` is the space's size, counted in closed form by
+:meth:`SearchSpace.size`, and ``SweepSummary.measured`` counts the sets
+the walk measured.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from math import comb, gcd
 from typing import Callable, Iterator
 
@@ -72,7 +74,22 @@ class SearchSpace:
         return self.family.optimal_bound(self.h, self.k)
 
     def size(self) -> int:
-        return comb(self.max_element, self.free)
+        """Number of candidates that pass the filter, without visiting them.
+
+        Unfiltered it is C(M, free). Every free-set S of [1, n] is gcd(S)
+        times a primitive set of [1, n // gcd(S)], so the primitive count
+        is P(M), where P(n) = C(n, free) - sum(P(n // d) for 2 <= d <=
+        n // free).
+        """
+        free = self.free
+        if self.filter_id is None:
+            return comb(self.max_element, free)
+
+        @cache
+        def primitive(n: int) -> int:
+            return comb(n, free) - sum(primitive(n // d)
+                                       for d in range(2, n // free + 1))
+        return primitive(self.max_element)
 
     def admit(self, budget: int) -> None:
         """Refuse a space of over ``budget`` candidate sets, then one whose
@@ -103,27 +120,6 @@ class SearchSpace:
         rest = range(key[-1] + 1, self.max_element + 1)
         for tail in itertools.combinations(rest, self.k - len(key)):
             yield key + tail
-
-    def completion_count(self, prefix: tuple[int, ...]) -> int:
-        """Number of candidates that extend ``prefix``, which holds a
-        nonzero element, counted without visiting them."""
-        n = self.k - len(prefix)
-        m, last = self.max_element, prefix[-1]
-        if self.filter_id is None:
-            return comb(m - last, n)
-        # Moebius inversion over the divisors d of g = gcd(prefix): the
-        # completions whose new elements are all multiples of d number
-        # C(M//d - last//d, n), and mu(d) is nonzero only for squarefree d
-        g = gcd(*prefix)
-        divisors = [(1, 1)]  # (d, mu(d)) over the squarefree divisors of g
-        p = 2
-        while g > 1:
-            if g % p == 0:
-                divisors += [(d * p, -mu) for d, mu in divisors]
-                while g % p == 0:
-                    g //= p
-            p += 1
-        return sum(mu * comb(m // d - last // d, n) for d, mu in divisors)
 
     def candidates(self) -> Iterator[tuple[int, ...]]:
         for key in self.shard_keys():
@@ -167,9 +163,9 @@ CSV_HEADER = "set;cardinality;slack;equality;structure_kind;d"
 @dataclass
 class SweepSummary:
     """``visited`` counts every candidate of the space that passes the
-    filter; ``measured`` counts those whose cardinality the walk formed,
-    and the rest were counted in pruned subtrees. ``measured`` is not part
-    of ``to_dict()``."""
+    filter, ``SearchSpace.size()``; ``measured`` counts those whose
+    cardinality the walk formed, and the rest lay in pruned subtrees.
+    ``measured`` is not part of ``to_dict()``."""
 
     space: SearchSpace
     visited: int
@@ -226,31 +222,25 @@ def _prune_limit(space: SearchSpace) -> int:
 
 
 def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None]
-                 ) -> tuple[int, int | None, list[tuple[tuple[int, ...], int]],
-                            int]:
-    """Visit one shard; returns (visited, min_card, rows, measured).
+                 ) -> tuple[int | None, list[tuple[tuple[int, ...], int]], int]:
+    """Walk one shard; returns (min_card, rows, measured).
 
     With ``limit`` None every candidate is measured and ``rows`` holds a
     plain ``(candidate, cardinality)`` pair for each, in walk order.
-    Otherwise the walk skips each subtree whose sets all exceed ``limit``
-    and only counts its candidates, ``rows`` holds only the candidates at
-    or below the bound, and ``min_card`` is the least measured
-    cardinality. Only ints and tuples of ints cross the process boundary;
-    the records are built in the parent.
+    Otherwise the walk skips each subtree whose sets all exceed ``limit``,
+    ``rows`` holds only the candidates at or below the bound, and
+    ``min_card`` is the least measured cardinality. Only ints and tuples
+    of ints cross the process boundary; the records are built in the
+    parent.
     """
     space, key, limit = args
     keep_all = limit is None
     bound_value = space.bound().value
-    pruned = measured = 0
+    measured = 0
     min_card: int | None = None
     rows: list[tuple[tuple[int, ...], int]] = []
-
-    def count(prefix: tuple[int, ...]) -> None:
-        nonlocal pruned
-        pruned += space.completion_count(prefix)
-
     for candidate, card in prefix_cardinalities(key, space.h, space.max_element,
-                                                space.k, limit, count):
+                                                space.k, limit):
         if not _passes_filter(space, candidate):
             continue
         measured += 1
@@ -258,7 +248,7 @@ def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None]
             min_card = card
         if keep_all or card <= bound_value:
             rows.append((candidate, card))
-    return pruned + measured, min_card, rows, measured
+    return min_card, rows, measured
 
 
 def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
@@ -271,9 +261,9 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     ``on_record`` receives emitted records in deterministic (lexicographic)
     order; ``emit`` selects all records, only equality/violation records,
     or none. Unless every record is emitted, the walk prunes each subtree
-    whose sets must all exceed ``_prune_limit``: it counts them in
-    ``visited`` without measuring them, and none of them could be an
-    emitted record or the minimum. With ``workers > 1`` shards run in
+    whose sets must all exceed ``_prune_limit``: none of them could be an
+    emitted record or the minimum, and ``visited`` counts them with the
+    rest, as ``space.size()``. With ``workers > 1`` shards run in
     separate processes, at most one per shard and per CPU. Either way a
     shard returns only ``(candidate, cardinality)`` rows, and each record
     is built once, here, while the shards are merged in shard order, so
@@ -291,7 +281,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     limit = None if emitting and emit == "all" else _prune_limit(space)
     args = [(space, key, limit) for key in space.shard_keys()]
     bound_value = space.bound().value
-    visited = measured = 0
+    measured = 0
     min_card: int | None = None
     equality_sets: list[SearchRecord] = []
     violations: list[SearchRecord] = []
@@ -301,8 +291,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
         # either map yields each shard's result in shard order once it is done
         shard_results = (map(_sweep_shard, args) if pool is None
                          else pool.map(_sweep_shard, args))
-        for shard_visited, shard_min, rows, shard_measured in shard_results:
-            visited += shard_visited
+        for shard_min, rows, shard_measured in shard_results:
             measured += shard_measured
             if shard_min is not None and (min_card is None
                                           or shard_min < min_card):
@@ -320,7 +309,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
             # after an error, such as a closed output pipe, queued shards
             # are dropped rather than run for nobody
             pool.shutdown(cancel_futures=True)
-    return SweepSummary(space, visited, measured, min_card,
+    return SweepSummary(space, space.size(), measured, min_card,
                         len(equality_sets), len(violations), equality_sets,
                         violations)
 

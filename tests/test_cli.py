@@ -159,6 +159,17 @@ def run_cli(capsys, *argv):
     return code, out, err
 
 
+def run_sweep_process(*argv, timeout):
+    """Run ``signedsum sweep`` in a fresh interpreter at the default budget."""
+    env = dict(os.environ)
+    env.pop("SUMSET_BUDGET", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "signedsum.cli", "sweep", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout)
+
+
 @pytest.mark.parametrize("argv, code, stdout", PINNED,
                          ids=[argv for argv, _, _ in PINNED])
 def test_report_bytes(capsys, argv, code, stdout):
@@ -469,17 +480,20 @@ class TestSweepCommand:
     def test_huge_space_is_refused_quickly(self, k, m):
         # C(M, k) has tens of thousands, or millions, of digits; the
         # refusal must not build it
-        env = dict(os.environ)
-        env.pop("SUMSET_BUDGET", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "signedsum.cli", "sweep", "--k", str(k),
-             "--h", "3", "--max", str(m)],
-            capture_output=True, text=True, env=env, timeout=5)
+        proc = run_sweep_process("--k", str(k), "--h", "3", "--max", str(m),
+                                 timeout=5)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: budget exceeded: C({m}, {k}) "
                                f"candidate sets > budget 10000000\n")
+
+    def test_long_sets_do_not_exhaust_the_stack(self):
+        # the walk goes 1,100 elements deep, past Python's default
+        # recursion limit of 1,000
+        proc = run_sweep_process("--k", "1100", "--h", "3", "--max", "1101",
+                                 "--threads", "1", timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "visited: 1101  bound: 6592" in proc.stdout
+        assert "min cardinality: 6595" in proc.stdout
 
     def test_budget_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SUMSET_BUDGET", "50")

@@ -1,9 +1,7 @@
-import itertools
 import json
 import os
 import random
-from collections import Counter
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -300,9 +298,8 @@ class TestPrefixSharedSweep:
         limit = None if emit == "all" else search._prune_limit(space)
         rows_seen = 0
         for key in space.shard_keys():
-            visited, min_card, rows, measured = search._sweep_shard(
-                (space, key, limit))
-            assert type(visited) is int and type(min_card) in (int, type(None))
+            min_card, rows, measured = search._sweep_shard((space, key, limit))
+            assert type(min_card) in (int, type(None))
             assert type(measured) is int
             for candidate, card in rows:
                 assert type(candidate) is tuple
@@ -321,7 +318,7 @@ class TestPrefixSharedSweep:
 
         def spy(args):
             result = shard(args)
-            shipped.extend(card for _, card in result[2])
+            shipped.extend(card for _, card in result[1])
             return result
 
         monkeypatch.setattr(search, "_sweep_shard", spy)
@@ -422,24 +419,19 @@ class TestBranchAndBound:
         primitive = SearchSpace(k=6, h=4, max_element=13,
                                 family=Family.ZERO_BASED, filter_id="primitive")
         full = sweep(primitive, emit="all", on_record=lambda r: None)
-        assert full.measured == full.visited < primitive.size()
+        assert full.measured == full.visited == primitive.size() < comb(13, 5)
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("filter_id", FILTER_IDS)
-    def test_completion_count_matches_enumeration(self, family, filter_id):
-        k = 6
-        for max_element in (k, 12, 16):
-            space = SearchSpace(k=k, h=4, max_element=max_element,
+    def test_size_matches_enumeration(self, family, filter_id):
+        # at M = 30 the primitive count subtracts dilates by d up to 6 or
+        # 7: primes, the prime square 4 and the product 6
+        for max_element in (5, 12, 16, 30):
+            space = SearchSpace(k=5, h=4, max_element=max_element,
                                 family=family, filter_id=filter_id)
-            kept = [c for c in space.candidates()
-                    if filter_id is None or gcd(*c) == 1]
-            for j in range(len(family.fixed) + 1, k + 1):
-                counts = Counter(c[:j] for c in kept)
-                for rest in itertools.combinations(
-                        range(1, max_element + 1), j - len(family.fixed)):
-                    prefix = family.fixed + rest
-                    assert space.completion_count(prefix) == counts[prefix], (
-                        prefix, max_element)
+            kept = sum(1 for c in space.candidates()
+                       if filter_id is None or gcd(*c) == 1)
+            assert space.size() == kept, max_element
 
     def test_pool_is_capped_by_shards_and_cpus(self, monkeypatch):
         sizes = []

@@ -13,9 +13,10 @@ outputs: identical lines mean byte-identical behaviour on every command.
 The grid covers every verb: each checker on sixteen sets at h 2 to 5, in
 both formats; sumsets under every operator; the bound catalogue; sweeps of
 both families over every h, every emit mode, CSV on stdout, JSON, two
-worker counts and the budget, window and DP-size refusals; seeded probes;
-every reproduce target; and usage errors. No command writes a file, and
-none is large enough to allocate much or run long on older checkouts.
+worker counts, primitive counts past the dilates by 2, and the budget,
+window and DP-size refusals; seeded probes; every reproduce target; and
+usage errors. No command writes a file, and none is large enough to
+allocate much or run long on older checkouts.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ def commands() -> list[str]:
                     f"--threads 2 --emit all --csv - --json")
         grid.append(f"sweep --k 5 --h 4 --max 20 --family {family} "
                     f"--threads 2 --json")
+        # M = 30 takes the primitive count past the dilates by d = 2
+        grid.append(f"sweep --k 5 --h 4 --max 30 --family {family} "
+                    f"--threads 1 --primitive-only --json")
+    grid.append("sweep --k 4 --h 3 --max 30 --threads 1 --primitive-only")
     grid += [
         "sweep --k 5 --h 4 --max 20 --threads 1 --budget 100",
         "sweep --k 5 --h 4 --max 20 --threads 1 --budget 15504",
