@@ -4,9 +4,11 @@ Exit codes: 0 means every checked conclusion holds, 1 means a mathematical
 counterexample was found (the offending sets are dumped in plain text and
 JSON regardless of format flags), 2 means a usage or hypothesis error, a
 sweep over its budget, a path that cannot be read or written, or a DP too
-large to hold, which a sweep refuses before it opens ``--csv``, and 141
-(128 + SIGPIPE) means the reader closed the output pipe early, as
-``| head`` does, so the run stopped without a verdict.
+large to hold, which a sweep refuses before it opens ``--csv``, 3 means
+an internal error, a fault in the program whose traceback goes to stderr,
+so a crash never reads as a counterexample, and 141 (128 + SIGPIPE) means
+the reader closed the output pipe early, as ``| head`` does, so the run
+stopped without a verdict.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import bounds, reproduce
 from .engine import Operator, compute_sumset
@@ -294,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_INTERNAL_ERROR = 3
 EXIT_PIPE_CLOSED = 141
 
 
@@ -313,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # bad input, or a path that
         print(f"error: {exc}", file=sys.stderr)  # cannot be read or written
         return 2
+    except Exception:  # a fault in the program, not a verdict
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -11,15 +11,20 @@ operators differ only in the admissible vectors:
 
 The fast path is a dynamic program over (element index, weight used) whose
 state value is a dense bitmap of achievable partial sums, held in a Python
-int so transitions are single shift-or operations. One transition,
-``_step``, serves both the per-set DP and the sweep's prefix walk
-(``prefix_cardinalities``), which extends each shared prefix's rows once
-instead of rerunning the DP for every candidate. Given a limit, the walk
-is branch and bound: it skips every prefix whose completions must all
-have more sums than the limit, by an increment of 2h sums per added
-element that is proved in its docstring. The naive path literally
-enumerates every admissible coefficient vector and exists purely to
-cross-check the fast path.
+int so transitions are single shift-or operations. One row loop,
+``_rows``, builds the rows of every sumset and of the head of every sweep
+walk (``prefix_cardinalities``, and so ``random_probe``), and drops each
+row that the elements still to come cannot lift to weight h. Under a
+restricted operator a later element adds at most 1, so with ``left`` of
+them to come the rows below h - left go; under an unrestricted one it can
+add any weight, so only the last step drops anything: every row but h.
+The walk then extends each shared prefix's rows once with the same
+transition, ``_step``, instead of rerunning the DP for every candidate.
+Given a limit, the walk is branch and bound: it skips every prefix whose
+completions must all have more sums than the limit, by an increment of
+2h sums per added element that is proved in its docstring. The naive
+path literally enumerates every admissible coefficient vector and exists
+purely to cross-check the fast path.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ def _move(row: int, delta: int, signed: bool) -> int:
 
 
 def _step(dp: list[int], a: int, multi: bool, signed: bool,
-          lo: int = 0) -> list[int]:
+          lo: int) -> list[int]:
     """Offer element ``a`` to the weight rows ``dp``; row w holds the sums of weight w.
 
     ``multi`` allows coefficients beyond magnitude one and ``signed`` allows
@@ -137,16 +142,23 @@ def _step(dp: list[int], a: int, multi: bool, signed: bool,
     return ndp
 
 
+def _rows(elements: tuple[int, ...], h: int, multi: bool, signed: bool,
+          half_width: int, k: int) -> list[int]:
+    """The weight rows of ``elements``, the first elements of a k-set, less
+    those the rest cannot lift to weight h; bit i encodes i - half_width."""
+    dp = [0] * (h + 1)
+    dp[0] = 1 << half_width
+    for j, a in enumerate(elements, 1):
+        left = k - j
+        dp = _step(dp, a, multi, signed, 0 if multi and left else h - left)
+    return dp
+
+
 def _achievable(elements: tuple[int, ...], h: int, op: Operator,
                 half_width: int) -> int:
     """Bitmap of sums with total weight exactly h; bit i encodes i - half_width."""
-    dp = [0] * (h + 1)
-    dp[0] = 1 << half_width
-    multi = not op.restricted
-    signed = op.signed
-    for a in elements:
-        dp = _step(dp, a, multi, signed)
-    return dp[h]
+    return _rows(elements, h, not op.restricted, op.signed, half_width,
+                 len(elements))[h]
 
 
 def _decode(bitmap: int, half_width: int) -> list[int]:
@@ -181,16 +193,16 @@ def prefix_cardinalities(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield ``(candidate, |h^+- candidate|)`` for every k-set extending ``head``.
 
-    ``head`` is a non-empty increasing tuple of integers in
-    ``[0, max_element]``. The candidates are ``head`` followed by increasing
-    elements in ``(head[-1], max_element]``, in lexicographic order, and the
-    cardinality is that of the restricted signed sumset. The walk is depth
-    first and keeps the DP rows of each prefix, so a prefix shared by many
-    candidates is processed once. Every bitmap sits at the fixed offset
-    ``h * max_element``, which bounds every partial sum in the space, so the
-    range guard runs once here rather than once per candidate. Rows that can
-    no longer reach weight h are dropped, and at the last element only row h
-    is formed.
+    ``head`` is an increasing tuple of integers in ``[0, max_element]``.
+    The candidates are ``head`` followed by increasing elements in
+    ``(head[-1], max_element]``, or in ``[1, max_element]`` when ``head``
+    is empty, in lexicographic order, and the cardinality is that of the
+    restricted signed sumset. The walk is depth first and keeps the DP rows
+    of each prefix, so a prefix shared by many candidates is processed
+    once. Every bitmap sits at the fixed offset ``h * max_element``, which
+    bounds every partial sum in the space, so the range guard runs once
+    here rather than once per candidate. Rows that can no longer reach
+    weight h are dropped, and at the last element only row h is formed.
 
     With a ``limit``, the walk is branch and bound. A prefix ``A_j`` longer
     than ``head``, of ``h <= j < k`` elements, with
@@ -213,10 +225,7 @@ def prefix_cardinalities(
     """
     half_width = h * max_element
     _guard(h, k, True, half_width)
-    dp = [0] * (h + 1)
-    dp[0] = 1 << half_width
-    for i, a in enumerate(head):
-        dp = _step(dp, a, False, True, h - (k - 1 - i))
+    dp = _rows(head, h, False, True, half_width, k)
     # A prefix of j elements has at most C(j, h) * 2^h sums, so its floor
     # is at most C(j, h) * 2^h + 2h(k - j). From j to j + 1 that gains
     # C(j, h - 1) * 2^h >= 2^h >= 2h and loses 2h, so it never falls. If
@@ -243,8 +252,8 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
     if len(head) == k:
         yield head, dp[h].bit_count()
         return
-    stack = [(head, dp, iter(range(head[-1] + 1,
-                                   max_element - k + len(head) + 2)))]
+    start = head[-1] + 1 if head else 1
+    stack = [(head, dp, iter(range(start, max_element - k + len(head) + 2)))]
     while stack:
         prefix, dp, elements = stack[-1]
         left = k - len(prefix) - 1  # elements to place after the next one

@@ -28,52 +28,54 @@ class TargetRow:
     detail: str
 
 
-def thm_h4_positive() -> list[TargetRow]:
-    """k=5, h=4 over all 5-subsets of [1, 20]: bound 25, two extremal sets."""
-    summary = sweep(SearchSpace(k=5, h=4, max_element=20, family=Family.POSITIVE))
+def _h4_sweep(family: Family, max_element: int, visited: int,
+              visited_label: str, minimum: int,
+              expected: set[tuple[int, ...]],
+              equality_label: str) -> list[TargetRow]:
+    """Sweep the k=5, h=4 sets of ``family`` up to ``max_element`` and
+    check the literal figures the theorem predicts there."""
+    summary = sweep(SearchSpace(k=5, h=4, max_element=max_element,
+                                family=family))
     eq = {r.set.elements for r in summary.equality_sets}
-    expected = {(1, 3, 5, 7, 9), (2, 6, 10, 14, 18)}
     return [
-        TargetRow("visited all 5-subsets of [1,20]", summary.visited == 15504,
+        TargetRow(visited_label, summary.visited == visited,
                   f"visited={summary.visited}"),
         TargetRow("no bound violations", summary.violation_count == 0,
                   f"violations={summary.violation_count}"),
-        TargetRow("minimum cardinality is 25", summary.min_cardinality == 25,
+        TargetRow(f"minimum cardinality is {minimum}",
+                  summary.min_cardinality == minimum,
                   f"min={summary.min_cardinality}"),
-        TargetRow("equality cases are exactly the odd-AP dilates",
-                  eq == expected, f"equality_sets={sorted(eq)}"),
+        TargetRow(equality_label, eq == expected,
+                  f"equality_sets={sorted(eq)}"),
     ]
+
+
+def thm_h4_positive() -> list[TargetRow]:
+    """k=5, h=4 over all 5-subsets of [1, 20]: bound 25, two extremal sets."""
+    return _h4_sweep(Family.POSITIVE, 20, 15504,
+                     "visited all 5-subsets of [1,20]", 25,
+                     {(1, 3, 5, 7, 9), (2, 6, 10, 14, 18)},
+                     "equality cases are exactly the odd-AP dilates")
 
 
 def thm_h4_zero() -> list[TargetRow]:
     """k=5, h=4 over {0} plus 4-subsets of [1, 16]: bound 21, dilates of [0,4]."""
-    summary = sweep(SearchSpace(k=5, h=4, max_element=16, family=Family.ZERO_BASED))
-    eq = {r.set.elements for r in summary.equality_sets}
-    expected = {tuple(d * i for i in range(5)) for d in range(1, 5)}
-    return [
-        TargetRow("visited all zero-based candidates", summary.visited == 1820,
-                  f"visited={summary.visited}"),
-        TargetRow("no bound violations", summary.violation_count == 0,
-                  f"violations={summary.violation_count}"),
-        TargetRow("minimum cardinality is 21", summary.min_cardinality == 21,
-                  f"min={summary.min_cardinality}"),
-        TargetRow("equality cases are exactly d*[0,4] for d in [1,4]",
-                  eq == expected, f"equality_sets={sorted(eq)}"),
-    ]
+    return _h4_sweep(Family.ZERO_BASED, 16, 1820,
+                     "visited all zero-based candidates", 21,
+                     {tuple(d * i for i in range(5)) for d in range(1, 5)},
+                     "equality cases are exactly d*[0,4] for d in [1,4]")
 
 
 def ap_iff() -> list[TargetRow]:
     """Exact cardinality on progressions iff d = 2*min, over a small grid."""
-    rows = []
     failures = []
     for a1, d, h in itertools.product(range(1, 6), range(1, 13), range(3, 7)):
         report = check_ap_iff(a1, d, h)
         if not report.holds:
             failures.append((a1, d, h, report.cardinality))
-    rows.append(TargetRow(
+    return [TargetRow(
         "cardinality is (h+1)^2 iff d = 2*a1 on a1 in [1,5], d in [1,12], "
-        "h in [3,6]", not failures, f"failures={failures}"))
-    return rows
+        "h in [3,6]", not failures, f"failures={failures}")]
 
 
 def interval() -> list[TargetRow]:
@@ -137,14 +139,11 @@ def theorem11_small() -> list[TargetRow]:
                 equalities = 0
                 # the k-subsets of [1, 12], or {0} plus (k-1)-subsets of [1, 11]
                 m = 11 if zero_in_a else 12
-                heads = ([family.fixed] if family.fixed
-                         else [(a,) for a in range(1, m - k + 2)])
-                for head in heads:
-                    for _, card in prefix_cardinalities(head, h, m, k):
-                        if card < bound:
-                            violations += 1
-                        elif card == bound:
-                            equalities += 1
+                for _, card in prefix_cardinalities(family.fixed, h, m, k):
+                    if card < bound:
+                        violations += 1
+                    elif card == bound:
+                        equalities += 1
                 branch = "0 in A" if zero_in_a else "0 not in A"
                 rows.append(TargetRow(
                     f"h={h} k={k} ({branch}): no violations and equality attained",

@@ -578,3 +578,18 @@ class TestReproduceCommand:
     def test_unknown_target_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-target")
         assert code == 2
+
+
+class TestInternalError:
+    def test_crash_exits_3_with_a_traceback_and_no_counterexample(
+            self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "cmd_sumset", crash)
+        code, out, err = run_cli(capsys, "sumset", "--set", "1,2,3",
+                                 "--h", "2", "--op", "restricted")
+        assert code == cli.EXIT_INTERNAL_ERROR == 3
+        assert "COUNTEREXAMPLE" not in out
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: simulated fault\n")

@@ -222,10 +222,11 @@ class TestPrefixWalk:
                             assert walked == expected, (head, h, max_element, k)
 
     def test_head_may_be_short_or_whole(self):
-        for head in ((3,), (0, 2, 5, 6)):
+        for head in ((), (3,), (0, 2, 5, 6)):
             walked = list(prefix_cardinalities(head, 3, 9, 4))
-            tails = itertools.combinations(range(head[-1] + 1, 10),
-                                           4 - len(head))
+            # an empty head starts the walk at 1
+            tails = itertools.combinations(
+                range(head[-1] + 1 if head else 1, 10), 4 - len(head))
             assert walked == [(head + t, sumset_cardinality(
                 IntegerSet(head + t), 3, RS)) for t in tails]
 

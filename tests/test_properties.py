@@ -85,6 +85,21 @@ def test_containment_chain(pair):
     assert rsigned <= set(compute_sumset(a, h, Operator.SIGNED).sums)
 
 
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=8, unique=True),
+       st.data())
+def test_restricted_signed_sumset_sees_only_absolute_values(magnitudes, data):
+    # each lambda_i ranges over {-1, 0, 1}, so flipping a_i's sign only
+    # relabels lambda_i as -lambda_i
+    signs = data.draw(st.lists(st.sampled_from((1, -1)),
+                               min_size=len(magnitudes),
+                               max_size=len(magnitudes)))
+    a = make_set(magnitudes)
+    flipped = make_set([s * x for s, x in zip(signs, magnitudes)])
+    h = data.draw(st.integers(1, a.k))
+    assert compute_sumset(flipped, h, RS).sums == compute_sumset(a, h, RS).sums
+
+
 @given(st.integers(2, 12), st.data())
 def test_parity_on_odd_progressions(k, data):
     a = make_set(range(1, 2 * k, 2))

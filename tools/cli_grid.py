@@ -10,12 +10,13 @@ in this one process, and each prints one JSON line: its argv, exit code,
 stdout and stderr. Run the grid on two checkouts and ``diff`` the two
 outputs: identical lines mean byte-identical behaviour on every command.
 
-The grid covers every verb: each checker on sixteen sets at h 2 to 5, in
-both formats; sumsets under every operator; the bound catalogue; sweeps of
-both families over every h, every emit mode, CSV on stdout, JSON, two
-worker counts, primitive counts past the dilates by 2, and the budget,
-window and DP-size refusals; seeded probes; every reproduce target; and
-usage errors. No command writes a file, and none is large enough to
+The grid's 1,201 commands cover every verb: each checker on sixteen sets
+at h 2 to 5, in both formats; sumsets under every operator, with h above
+k on a two-element set; the bound catalogue; sweeps of both families over
+every h, every emit mode, CSV on stdout, JSON, two worker counts,
+primitive counts past the dilates by 2, and the budget, window and
+DP-size refusals; seeded probes; every reproduce target; and usage
+errors. No command writes a file, and none is large enough to
 allocate much or run long on older checkouts.
 """
 
@@ -37,7 +38,8 @@ CHECK_SETS = [
 THEOREMS = ["direct", "inverse", "lemma-decomposition", "partial-inverse",
             "special-direct", "ap"]
 OPERATORS = ["classical", "restricted", "signed", "restricted-signed"]
-SUMSET_SETS = ["1,3,5,7,9", "0,1,2,4,6", "2,5,9", "-3,1,4"]
+# "2,7" has h > k at h = 3: unrestricted sumsets, and restricted refusals
+SUMSET_SETS = ["1,3,5,7,9", "0,1,2,4,6", "2,5,9", "-3,1,4", "2,7"]
 REPRODUCE_TARGETS = ["thm-h4-positive", "thm-h4-zero", "ap-iff", "interval",
                      "lemma-audit", "theorem11-small"]
 
