@@ -9,22 +9,38 @@ operators differ only in the admissible vectors:
     SIGNED             lambda_i in [-h, h],     Sum(|lambda_i|) = h
     RESTRICTED_SIGNED  lambda_i in {-1, 0, 1},  Sum(|lambda_i|) = h
 
-The fast path is a dynamic program over (element index, weight used) whose
-state value is a dense bitmap of achievable partial sums, held in a Python
-int so transitions are single shift-or operations. One row loop,
-``_rows``, builds the rows of every sumset and of the head of every sweep
-walk (``prefix_cardinalities``, and so ``random_probe``), and drops each
-row that the elements still to come cannot lift to weight h. Under a
-restricted operator a later element adds at most 1, so with ``left`` of
-them to come the rows below h - left go; under an unrestricted one it can
-add any weight, so only the last step drops anything: every row but h.
-The walk then extends each shared prefix's rows once with the same
-transition, ``_step``, instead of rerunning the DP for every candidate.
-Given a limit, the walk is branch and bound: it skips every prefix whose
-completions must all have more sums than the limit, by an increment of
-2h sums per added element that is proved in its docstring. The naive
-path literally enumerates every admissible coefficient vector and exists
-purely to cross-check the fast path.
+The fast path is a dynamic program over (element index, weight used)
+whose state is the set of achievable partial sums at each weight, held
+one of two ways. The bitset backend holds a row as a dense bitmap in a
+Python int, so a transition is one shift-or and the cost is the set's
+width. The set-based backend holds it as a frozenset of sums, and its
+cost is the number of sums, at most C(k, w) * 2^w in a restricted signed
+row of weight w: far less for a few elements near 10^6. One row loop,
+``_rows``, serves both, and builds the rows of every sumset and of the
+head of every sweep walk (``prefix_cardinalities``, and so
+``random_probe``). It drops each row that the elements still to come
+cannot lift to weight h. Under a restricted operator a later element adds
+at most 1, so with ``left`` of them to come the rows below h - left go;
+under an unrestricted one it can add any weight, so only the last step
+drops anything: every row but h.
+
+``compute_sumset`` and ``sumset_cardinality`` take the cheaper backend.
+The bitset DP offers k elements to h + 1 rows of 2 * half_width + 1 bits;
+the set-based DP forms at most ``_sparse_cost(k, h, op)`` sums, an
+admissible-vector count cached per (k, h, op). The set-based DP is taken
+when ``SPARSE_WEIGHT`` (3,000, measured, see its comment) times that
+bound is below the bitset's bits. The range guard runs first and still
+sizes every instance by its bitmap, so the same inputs are refused
+whichever backend would run.
+
+Sweeps use the bitset backend alone. The walk extends each shared
+prefix's rows once with the same transition, ``_step``, instead of
+rerunning the DP for every candidate. Given a limit, the walk is branch
+and bound: it skips every prefix whose completions must all have more
+sums than the limit, by an increment of 2h sums per added element that is
+proved in its docstring. The naive path literally enumerates every
+admissible coefficient vector and exists purely to cross-check the fast
+paths.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -39,6 +56,15 @@ from .sets import IntegerSet
 
 MAX_DP_BITS = 2**30  # 128 MiB across the h + 1 weight rows
 NAIVE_VECTOR_LIMIT = 10**8
+# How many bits offered by the bitset DP cost as much as one sum formed by
+# the set-based DP. Measured on 840 sets (k 3 to 10, h 1 to 6, all four
+# operators, elements drawn from [1, s * k] for s from 3 to 30,000) on a
+# 2-vCPU Xeon with Python 3.11: choosing by this weight took 229 ms for
+# all their cardinalities, against 224 ms for the faster backend each time
+# and 568 ms for the bitset alone (full sumsets: 461, 456 and 1,092 ms).
+# Weights from 2,000 to 3,000 did as well; 1,000 and 5,000 took 260 and
+# 252 ms. No reproduce call has more than 59 bits per bounded sum.
+SPARSE_WEIGHT = 3000
 
 
 class Operator(Enum):
@@ -118,47 +144,67 @@ def _move(row: int, delta: int, signed: bool) -> int:
     return row << delta if delta >= 0 else row >> -delta
 
 
-def _step(dp: list[int], a: int, multi: bool, signed: bool,
-          lo: int) -> list[int]:
+def _shift(row: frozenset[int], delta: int, signed: bool) -> set[int]:
+    """``_move`` for a row held as a set of sums."""
+    moved = {x + delta for x in row}
+    if signed:
+        moved.update([x - delta for x in row])
+    return moved
+
+
+def _step(dp: list, a: int, multi: bool, signed: bool, lo: int,
+          move=_move, empty=0) -> list:
     """Offer element ``a`` to the weight rows ``dp``; row w holds the sums of weight w.
 
     ``multi`` allows coefficients beyond magnitude one and ``signed`` allows
-    negative ones. Rows below weight ``lo`` come back empty: a caller that
-    knows they can no longer reach the target weight drops them.
+    negative ones. Rows below weight ``lo`` come back ``empty``: a caller
+    that knows they can no longer reach the target weight drops them. Rows
+    are bitmaps moved by ``_move``, or frozensets moved by ``_shift``; both
+    are immutable, so ``|=`` never touches a row of ``dp``.
     """
     h = len(dp) - 1
-    ndp = [0] * lo + dp[lo:] if lo > 0 else dp[:]  # lambda = 0 on this element
+    ndp = [empty] * lo + dp[lo:] if lo > 0 else dp[:]  # lambda = 0 on this element
     if multi:
         for w in range(h):
             src = dp[w]
             if src:
                 for j in range(max(lo - w, 1), h - w + 1):
-                    ndp[w + j] |= _move(src, j * a, signed)
+                    ndp[w + j] |= move(src, j * a, signed)
     else:
         for w in range(lo - 1 if lo > 1 else 0, h):
             src = dp[w]
             if src:
-                ndp[w + 1] |= _move(src, a, signed)
+                ndp[w + 1] |= move(src, a, signed)
     return ndp
 
 
 def _rows(elements: tuple[int, ...], h: int, multi: bool, signed: bool,
-          half_width: int, k: int) -> list[int]:
+          k: int, seed, move=_move) -> list:
     """The weight rows of ``elements``, the first elements of a k-set, less
-    those the rest cannot lift to weight h; bit i encodes i - half_width."""
-    dp = [0] * (h + 1)
-    dp[0] = 1 << half_width
+    those the rest cannot lift to weight h. Row 0 is ``seed``: the bitmap
+    ``1 << half_width``, in which bit i encodes i - half_width, or
+    ``frozenset((0,))`` with ``move=_shift``."""
+    empty = type(seed)()
+    dp = [empty] * (h + 1)
+    dp[0] = seed
     for j, a in enumerate(elements, 1):
         left = k - j
-        dp = _step(dp, a, multi, signed, 0 if multi and left else h - left)
+        dp = _step(dp, a, multi, signed, 0 if multi and left else h - left,
+                   move, empty)
     return dp
 
 
 def _achievable(elements: tuple[int, ...], h: int, op: Operator,
                 half_width: int) -> int:
     """Bitmap of sums with total weight exactly h; bit i encodes i - half_width."""
-    return _rows(elements, h, not op.restricted, op.signed, half_width,
-                 len(elements))[h]
+    return _rows(elements, h, not op.restricted, op.signed, len(elements),
+                 1 << half_width)[h]
+
+
+def _sums(elements: tuple[int, ...], h: int, op: Operator) -> frozenset[int]:
+    """The set of sums with total weight exactly h: the set-based DP."""
+    return _rows(elements, h, not op.restricted, op.signed, len(elements),
+                 frozenset((0,)), _shift)[h]
 
 
 def _decode(bitmap: int, half_width: int) -> list[int]:
@@ -174,9 +220,41 @@ def _decode(bitmap: int, half_width: int) -> list[int]:
     return values
 
 
+@lru_cache(maxsize=1024)
+def _sparse_cost(k: int, h: int, op: Operator) -> int:
+    """An upper bound on the sums the set-based DP forms on a k-set at fold h.
+
+    Before element j + 1 is offered, row w holds at most one sum per
+    admissible vector of weight w on j elements, and each is moved once,
+    or h - w times under an unrestricted operator, and both ways when
+    signed. Counting stops once it passes ``k * MAX_DP_BITS //
+    SPARSE_WEIGHT``: the guard admits no bitmap wide enough for the
+    set-based DP to win beyond that.
+    """
+    cap = k * MAX_DP_BITS // SPARSE_WEIGHT
+    signs = 2 if op.signed else 1
+    total = 0
+    for j in range(k):
+        for w in range(h):
+            vectors = naive_vector_count(j, w, op) if w else 1
+            total += vectors * signs * (1 if op.restricted else h - w)
+            if total > cap:
+                return total
+    return total
+
+
+def _sparse(k: int, h: int, op: Operator, half_width: int) -> bool:
+    """Whether the set-based DP is the cheaper one: the bitset DP offers
+    each of the k elements to h + 1 rows of 2 * half_width + 1 bits."""
+    return (SPARSE_WEIGHT * _sparse_cost(k, h, op)
+            < (h + 1) * k * (2 * half_width + 1))
+
+
 def compute_sumset(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
-    """The exact sumset of A under ``op`` at fold ``h`` (bitset DP path)."""
+    """The exact sumset of A under ``op`` at fold ``h``, by the cheaper DP."""
     half_width = _check_instance(a, h, op)
+    if _sparse(a.k, h, op, half_width):
+        return SumsetResult.from_sorted(sorted(_sums(a.elements, h, op)))
     bitmap = _achievable(a.elements, h, op, half_width)
     return SumsetResult.from_sorted(_decode(bitmap, half_width))
 
@@ -184,6 +262,8 @@ def compute_sumset(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
 def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
     """|sumset| without materializing the sums; the hot call in sweeps."""
     half_width = _check_instance(a, h, op)
+    if _sparse(a.k, h, op, half_width):
+        return len(_sums(a.elements, h, op))
     return _achievable(a.elements, h, op, half_width).bit_count()
 
 
@@ -225,7 +305,7 @@ def prefix_cardinalities(
     """
     half_width = h * max_element
     _guard(h, k, True, half_width)
-    dp = _rows(head, h, False, True, half_width, k)
+    dp = _rows(head, h, False, True, k, 1 << half_width)
     # A prefix of j elements has at most C(j, h) * 2^h sums, so its floor
     # is at most C(j, h) * 2^h + 2h(k - j). From j to j + 1 that gains
     # C(j, h - 1) * 2^h >= 2^h >= 2h and loses 2h, so it never falls. If

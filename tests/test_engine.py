@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedsum import (IntegerSet, Operator, compute_sumset,
-                       compute_sumset_naive, dilate, make_set,
+from signedsum import (IntegerSet, Operator, cli, compute_sumset,
+                       compute_sumset_naive, dilate, engine, make_set,
                        sumset_cardinality)
-from signedsum.engine import (MAX_DP_BITS, _completion_floor, _decode, _guard,
-                              naive_vector_count, prefix_cardinalities)
+from signedsum.engine import (MAX_DP_BITS, _check_instance, _completion_floor,
+                              _decode, _guard, _sparse, naive_vector_count,
+                              prefix_cardinalities)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -193,6 +194,55 @@ class TestStructuralProperties:
             "sums": list(result.sums),
         }
         assert "sums" not in result.to_dict(a, 2, RS)
+
+
+# A few elements near 10^5 to 10^7, as the checkers of the paper's
+# restricted-h theorems see them: odd-AP and zero-based AP dilates, a
+# superincreasing 6-set, a superincreasing-tail 5-set, a generic 8-set and
+# a set with negatives and zero.
+WIDE_SHORT_SETS = [
+    [63_001 * (2 * i + 1) for i in range(8)],
+    [138_001 * i for i in range(8)],
+    [114_819, 170_912, 227_330, 401_051, 639_893, 1_047_501],
+    [100_003, 155_011, 210_029, 365_041, 575_069],
+    [1_000_003 * i + 7_919 * i * i for i in range(1, 9)],
+    [-2_000_029, -1_000_003, 0, 1_000_033, 3_000_017],
+]
+
+
+class TestWideShortSets:
+    @pytest.mark.parametrize("elements", WIDE_SHORT_SETS)
+    @pytest.mark.parametrize("op", list(Operator))
+    def test_dispatched_path_matches_oracle(self, elements, op):
+        a = make_set(elements)
+        for h in range(1, min(a.k, 5) + 1):
+            fast = compute_sumset(a, h, op)
+            assert fast.sums == compute_sumset_naive(a, h, op).sums, (h, op)
+            assert sumset_cardinality(a, h, op) == fast.cardinality
+
+
+class TestBackendChoice:
+    def test_wide_short_set_takes_the_set_based_dp(self):
+        a = make_set(WIDE_SHORT_SETS[0])  # an odd-AP dilate 8-set near 10^6
+        assert _sparse(8, 5, RS, _check_instance(a, 5, RS))
+
+    def test_narrow_set_takes_the_bitset_dp(self):
+        a = make_set([1, 3, 5, 7, 9])
+        assert not _sparse(5, 4, RS, _check_instance(a, 4, RS))
+
+    @pytest.mark.parametrize("target", ["ap-iff", "interval", "lemma-audit"])
+    def test_reproduce_targets_stay_on_the_bitset_dp(self, target,
+                                                     monkeypatch, capsys):
+        choices = []
+
+        def spy(*args):
+            choices.append(_sparse(*args))
+            return choices[-1]
+
+        monkeypatch.setattr(engine, "_sparse", spy)
+        cli.main(["reproduce", target])
+        capsys.readouterr()
+        assert choices and not any(choices)
 
 
 class TestPrefixWalk:

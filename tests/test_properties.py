@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from signedsum import (Operator, StructureKind, classify_structure,
                        compute_sumset, compute_sumset_naive, dilate, gaps,
                        make_set)
+from signedsum.engine import (_achievable, _check_instance, _decode, _rows,
+                              _shift, _sums)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -52,6 +54,24 @@ def test_odd_dilate_shape(k, d):
 def test_fast_path_matches_naive_oracle(pair, op):
     a, h = pair
     assert compute_sumset(a, h, op).sums == compute_sumset_naive(a, h, op).sums
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=6, unique=True),
+       st.sampled_from(list(Operator)), st.data())
+def test_set_based_rows_match_bitset_rows(elements, op, data):
+    # h > k is drawn for the unrestricted operators; every row is compared,
+    # so both backends drop the same rows
+    a = make_set(elements)
+    h = data.draw(st.integers(1, a.k if op.restricted else a.k + 3))
+    half_width = _check_instance(a, h, op)
+    multi, signed = not op.restricted, op.signed
+    bitmaps = _rows(a.elements, h, multi, signed, a.k, 1 << half_width)
+    sets = _rows(a.elements, h, multi, signed, a.k, frozenset((0,)), _shift)
+    assert [sorted(row) for row in sets] == [_decode(row, half_width)
+                                             for row in bitmaps]
+    assert (sorted(_sums(a.elements, h, op))
+            == _decode(_achievable(a.elements, h, op, half_width), half_width))
 
 
 @settings(deadline=None)

@@ -10,14 +10,15 @@ in this one process, and each prints one JSON line: its argv, exit code,
 stdout and stderr. Run the grid on two checkouts and ``diff`` the two
 outputs: identical lines mean byte-identical behaviour on every command.
 
-The grid's 1,201 commands cover every verb: each checker on sixteen sets
+The grid's 1,218 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
-k on a two-element set; the bound catalogue; sweeps of both families over
-every h, every emit mode, CSV on stdout, JSON, two worker counts,
-primitive counts past the dilates by 2, and the budget, window and
-DP-size refusals; seeded probes; every reproduce target; and usage
-errors. No command writes a file, and none is large enough to
-allocate much or run long on older checkouts.
+k on a two-element set; a few elements near 10^6 (the set-based DP's
+inputs) under every operator and through the checkers; the bound
+catalogue; sweeps of both families over every h, every emit mode, CSV on
+stdout, JSON, two worker counts, primitive counts past the dilates by 2,
+and the budget, window and DP-size refusals; seeded probes; every
+reproduce target; and usage errors. No command writes a file, and none
+is large enough to allocate much or run long on older checkouts.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ THEOREMS = ["direct", "inverse", "lemma-decomposition", "partial-inverse",
 OPERATORS = ["classical", "restricted", "signed", "restricted-signed"]
 # "2,7" has h > k at h = 3: unrestricted sumsets, and restricted refusals
 SUMSET_SETS = ["1,3,5,7,9", "0,1,2,4,6", "2,5,9", "-3,1,4", "2,7"]
+WIDE_SET = "1,1000003,2000029,3000017"
+WIDE_AP = "63001,189003,315005,441007,567009,693011"  # 63001 * {1,3,...,11}
+WIDE_SPECIAL = "100003,155011,210029,365041,575069"  # superincreasing tail
 REPRODUCE_TARGETS = ["thm-h4-positive", "thm-h4-zero", "ap-iff", "interval",
                      "lemma-audit", "theorem11-small"]
 
@@ -56,6 +60,13 @@ def commands() -> list[str]:
     for op, s, h, fmt in itertools.product(
             OPERATORS, SUMSET_SETS, (1, 2, 3), ("", " --full --json")):
         grid.append(f"sumset --set {s} --h {h} --op {op}{fmt}")
+    # a few elements near 10^6, which the set-based DP measures
+    for op, h in itertools.product(OPERATORS, (1, 2, 3)):
+        grid.append(f"sumset --set {WIDE_SET} --h {h} --op {op} --full --json")
+    for theorem in THEOREMS[:4]:
+        grid.append(f"check --set {WIDE_AP} --h 4 --theorem {theorem} --json")
+    grid.append(f"check --set {WIDE_SPECIAL} --h 4 --theorem special-direct "
+                f"--json")
     grid.append("sumset --set 1,100000000000 --h 1 --op restricted-signed")
     grid.append("sumset --set 1 --h 100000 --op classical")
 
