@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 
@@ -297,12 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(parser: argparse.ArgumentParser,
+                argv: list[str] | None) -> argparse.Namespace:
+    """Parse the command line. argparse takes a token such as ``-3,1,4``
+    for an option, so ``--set`` is joined to a next token that starts with
+    a minus and a digit: ``--set -3,1,4`` reads as ``--set=-3,1,4``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--set" and re.match(r"-\d", argv[i + 1]):
+            argv[i:i + 2] = ["--set=" + argv[i + 1]]
+    return parser.parse_args(argv)
+
+
 EXIT_INTERNAL_ERROR = 3
 EXIT_PIPE_CLOSED = 141
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(build_parser(), argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown

@@ -38,9 +38,10 @@ prefix's rows once with the same transition, ``_step``, instead of
 rerunning the DP for every candidate. Given a limit, the walk is branch
 and bound: it skips every prefix whose completions must all have more
 sums than the limit, by an increment of 2h sums per added element that is
-proved in its docstring. The naive path literally enumerates every
-admissible coefficient vector and exists purely to cross-check the fast
-paths.
+proved in its docstring, and checks only the depths, all of h elements
+or more, where a prefix can be skipped. The naive path literally
+enumerates every admissible coefficient vector and exists purely to
+cross-check the fast paths.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def compute_sumset(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
 
 
 def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
-    """|sumset| without materializing the sums; the hot call in sweeps."""
+    """|sumset| without materializing the sums; the checkers' call."""
     half_width = _check_instance(a, h, op)
     if _sparse(a.k, h, op, half_width):
         return len(_sums(a.elements, h, op))
@@ -287,8 +288,10 @@ def prefix_cardinalities(
     With a ``limit``, the walk is branch and bound. A prefix ``A_j`` longer
     than ``head``, of ``h <= j < k`` elements, with
     ``|h^+-A_j| + 2h(k - j) > limit`` is not extended, and none of its
-    candidates is yielded. They all have more than ``limit`` sums, because
-    every completion ``A`` of ``A_j`` has
+    candidates is yielded. This is checked only at the depths j where a
+    prefix, of at most ``C(j, h) * 2^h`` sums, can fail it: the table
+    ``_caps`` built once per call. The pruned candidates all have more
+    than ``limit`` sums, because every completion ``A`` of ``A_j`` has
 
         |h^+-A| >= |h^+-A_j| + 2h(k - j).
 
@@ -306,26 +309,23 @@ def prefix_cardinalities(
     half_width = h * max_element
     _guard(h, k, True, half_width)
     dp = _rows(head, h, False, True, k, 1 << half_width)
-    # A prefix of j elements has at most C(j, h) * 2^h sums, so its floor
-    # is at most C(j, h) * 2^h + 2h(k - j). From j to j + 1 that gains
-    # C(j, h - 1) * 2^h >= 2^h >= 2h and loses 2h, so it never falls. If
-    # even the longest checked prefix, of k - 1 elements, cannot exceed the
-    # limit, no prefix can, and the checks are skipped.
-    if limit is not None and comb(k - 1, h) * 2**h + 2 * h <= limit:
-        limit = None
-    return _extend(head, dp, h, max_element, k, limit)
+    return _extend(head, dp, h, max_element, k,
+                   {} if limit is None else _caps(h, k, limit))
 
 
-def _completion_floor(card: int, h: int, more: int) -> int:
-    """The fewest sums of any set made by adding ``more`` larger elements
-    to a prefix of at least h non-negative elements with ``card`` sums."""
-    return card + 2 * h * more
+def _caps(h: int, k: int, limit: int) -> dict[int, int]:
+    """The most sums a child prefix of j elements may have and still be
+    extended, ``limit - 2h(k - j)``, for each depth j in ``[h, k - 1]`` at
+    which a prefix can have more: it has at most C(j, h) * 2^h sums."""
+    return {j: cap for j in range(h, k)
+            if comb(j, h) * 2**h > (cap := limit - 2 * h * (k - j))}
 
 
 def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
-            k: int, limit: int | None
+            k: int, caps: dict[int, int]
             ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The walk below ``head``, whose rows are ``dp``. It keeps a stack with
+    """The walk below ``head``, whose rows are ``dp``; a child of j elements
+    with more than ``caps[j]`` sums is not extended. It keeps a stack with
     one frame per depth, ``(prefix, rows, iterator over the elements still
     to try next)``, rather than recursing, so k is not bounded by Python's
     recursion limit."""
@@ -344,11 +344,10 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
                 yield prefix + (a,), (_move(below, a, True) | row).bit_count()
             stack.pop()
             continue
-        bounded = limit is not None and len(prefix) + 1 >= h
+        cap = caps.get(len(prefix) + 1)
         for a in elements:
             # the child's row h alone decides whether its subtree is pruned
-            if not bounded or _completion_floor(
-                    (_move(below, a, True) | row).bit_count(), h, left) <= limit:
+            if cap is None or (_move(below, a, True) | row).bit_count() <= cap:
                 stack.append((prefix + (a,),
                               _step(dp, a, False, True, h - left),
                               iter(range(a + 1, max_element - left + 2))))

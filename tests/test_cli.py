@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 from signedsum import cli, verify
 from signedsum.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 # Stdout and exit code of each report, byte for byte: every check theorem
@@ -200,6 +202,52 @@ REFUSED = [
                          ids=[argv for argv, _ in REFUSED])
 def test_window_refusal_bytes(capsys, argv, stderr):
     assert run_cli(capsys, *argv.split()) == (2, "", stderr)
+
+
+# A --set value that starts with a minus sign reaches its verb, as it does
+# written --set=-3,1,4, and a --set with no value stays a usage error.
+NEGATIVE_SET = [
+    ("sumset --set -3,1,4 --h 2 --op signed", 0,
+     "set: {-3,1,4}\n"
+     "operator: signed  h: 2\n"
+     "cardinality: 16\n"
+     "min: -8  max: 8\n", ""),
+    ("check --set -1,2,3,4 --h 3 --theorem direct", 2, "",
+     "error: theorem hypotheses require positive elements or 0 plus "
+     "positives\n"),
+    ("sumset --set --h 2 --op signed", 2, "",
+     "usage: signedsum sumset [-h] [--set SET] [--set-file SET_FILE] --h H "
+     "--op\n"
+     "                        {classical,restricted,restricted-signed,signed}\n"
+     "                        [--full] [--json]\n"
+     "signedsum sumset: error: argument --set: expected one argument\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", NEGATIVE_SET,
+                         ids=[argv for argv, _, _, _ in NEGATIVE_SET])
+def test_negative_set_bytes(capsys, monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the width
+    assert run_cli(capsys, *argv.split()) == (code, stdout, stderr)
+
+
+def test_every_grid_command_reaches_its_verb(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "cli_grid", ROOT / "tools" / "cli_grid.py")
+    cli_grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_grid)
+    monkeypatch.delenv("SUMSET_BUDGET", raising=False)
+    parser = cli.build_parser()
+    stopped = []
+    for command in cli_grid.commands():
+        try:
+            cli._parse_args(parser, command.split())
+        except SystemExit:  # argparse refused the command line
+            stopped.append(command)
+    capsys.readouterr()
+    # the grid's two deliberate usage errors
+    assert stopped == ["check --set 1,3,5,7,9 --h 4 --theorem nope",
+                       "sweep --k 4 --h 3 --max 10 --emit nope"]
 
 
 class TestSumsetCommand:

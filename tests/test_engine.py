@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signedsum import (IntegerSet, Operator, cli, compute_sumset,
-                       compute_sumset_naive, dilate, engine, make_set,
-                       sumset_cardinality)
-from signedsum.engine import (MAX_DP_BITS, _check_instance, _completion_floor,
-                              _decode, _guard, _sparse, naive_vector_count,
+from signedsum import (Family, IntegerSet, Operator, SearchSpace, cli,
+                       compute_sumset, compute_sumset_naive, dilate, engine,
+                       make_set, search, sumset_cardinality)
+from signedsum.engine import (MAX_DP_BITS, _caps, _check_instance, _decode,
+                              _guard, _sparse, naive_vector_count,
                               prefix_cardinalities)
 
 RS = Operator.RESTRICTED_SIGNED
@@ -322,9 +322,24 @@ class TestPrefixWalk:
                 for rest in itertools.combinations(range(1, 10),
                                                    j - len(fixed)):
                     prefix = fixed + rest
-                    floor = _completion_floor(size(prefix), h, 1)
+                    floor = size(prefix) + 2 * h
                     for x in range(prefix[-1] + 1, 12):
                         assert size(prefix + (x,)) >= floor, (prefix, x)
+
+    @pytest.mark.parametrize("k, h, family, limit, caps", [
+        (5, 4, Family.POSITIVE, 25, {}),
+        (7, 5, Family.POSITIVE, 46, {5: 26, 6: 36}),
+        (5, 4, Family.ZERO_BASED, 21, {4: 13}),
+    ])
+    def test_caps_only_the_depths_a_prefix_can_exceed(self, k, h, family,
+                                                      limit, caps):
+        space = SearchSpace(k=k, h=h, max_element=14, family=family)
+        assert search._prune_limit(space) == limit
+        assert _caps(h, k, limit) == caps
+        if not caps:  # no depth is checked, so nothing is pruned
+            head = family.fixed
+            assert (list(prefix_cardinalities(head, h, 14, k, limit))
+                    == list(prefix_cardinalities(head, h, 14, k)))
 
     def test_guards(self):
         with pytest.raises(ValueError, match="positive"):

@@ -12,7 +12,9 @@ outputs: identical lines mean byte-identical behaviour on every command.
 
 The grid's 1,218 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
-k on a two-element set; a few elements near 10^6 (the set-based DP's
+k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
+reach the checkers (whose hypotheses refuse them) and the sumset
+operators; a few elements near 10^6 (the set-based DP's
 inputs) under every operator and through the checkers; the bound
 catalogue; sweeps of both families over every h, every emit mode, CSV on
 stdout, JSON, two worker counts, primitive counts past the dilates by 2,
