@@ -187,10 +187,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         csv_fh = sys.stdout if args.csv == "-" else open(args.csv, "w")
         print(CSV_HEADER, file=csv_fh)
     try:
-        summary = sweep(
-            space, budget=args.budget, workers=args.threads, emit=args.emit,
-            on_record=(None if csv_fh is None
-                       else lambda r: print(r.to_csv_row(), file=csv_fh)))
+        summary = sweep(space, budget=args.budget, workers=args.threads,
+                        emit=args.emit,
+                        csv_sink=None if csv_fh is None else csv_fh.write)
     finally:
         if csv_fh is not None and csv_fh is not sys.stdout:
             csv_fh.close()

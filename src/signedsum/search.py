@@ -13,7 +13,9 @@ the engine walks the candidates depth first
 each shared prefix once rather than rerunning the DP for every candidate.
 A shard returns plain ``(candidate, cardinality)`` rows, so only ints and
 tuples of ints cross the process boundary, and each record is built once,
-in the parent, while the shards are merged.
+in the parent, while the shards are merged. A sweep that writes CSV has
+each shard format its own rows, straight from those pairs, and ship them
+as one string, so the parent builds records only for the summary.
 
 Unless every record is emitted, the walk prunes: the parent measures one
 witness set of the space, and each shard skips every prefix whose
@@ -37,7 +39,8 @@ from typing import Callable, Iterator
 
 from .bounds import BoundFormula, Family
 from .engine import _guard, prefix_cardinalities
-from .sets import IntegerSet, Record, StructureClass, classify_structure
+from .sets import (_NOT_STRUCTURED, IntegerSet, Record, StructureClass,
+                   classify_structure)
 
 DEFAULT_BUDGET = 10**7
 EMIT_MODES = ("interesting", "all", "none")
@@ -146,18 +149,55 @@ class SearchRecord(Record):
     structure: StructureClass
 
     def to_csv_row(self) -> str:
-        d = "" if self.structure.d is None else str(self.structure.d)
-        return ";".join([
-            ",".join(map(str, self.set.elements)),
-            str(self.cardinality),
-            str(self.slack),
-            "true" if self.equality else "false",
-            self.structure.kind.value,
-            d,
-        ])
+        return (",".join(map(str, self.set.elements)) + ";"
+                + _csv_columns(self.cardinality, self.slack, self.equality,
+                               self.structure))
 
 
 CSV_HEADER = "set;cardinality;slack;equality;structure_kind;d"
+
+
+def _csv_columns(cardinality: int, slack: int, equality: bool,
+                 structure: StructureClass) -> str:
+    """The CSV columns after ``set``, in ``CSV_HEADER`` order: the one row
+    format of ``SearchRecord.to_csv_row`` and of the shards' CSV text."""
+    d = "" if structure.d is None else str(structure.d)
+    return ";".join([str(cardinality), str(slack),
+                     "true" if equality else "false", structure.kind.value, d])
+
+
+def _csv_text(rows: list[tuple[tuple[int, ...], int]], bound_value: int) -> str:
+    """The CSV lines of ``(candidate, cardinality)`` rows in walk order, as
+    ``SearchRecord.to_csv_row`` gives them, each ending in a newline.
+
+    Siblings in the walk share every element but the last, so the text of
+    that prefix is formed once per run of siblings. Only an arithmetic
+    progression is classified other than NONE, so only a candidate whose
+    last gap repeats the one before it is classified; the columns of the
+    rest depend on the cardinality alone and are formed once per
+    cardinality. Every candidate of a search space has at least four
+    elements.
+    """
+    lines = []
+    shared = None
+    unstructured: dict[int, str] = {}
+    for candidate, card in rows:
+        prefix, last = candidate[:-1], candidate[-1]
+        if prefix != shared:
+            shared = prefix
+            head = ",".join(map(str, prefix)) + ","
+            ap_last = 2 * prefix[-1] - prefix[-2]
+        if last == ap_last:
+            columns = _csv_columns(card, card - bound_value, card == bound_value,
+                                   classify_structure(IntegerSet(candidate)))
+        else:
+            columns = unstructured.get(card)
+            if columns is None:
+                columns = unstructured[card] = _csv_columns(
+                    card, card - bound_value, card == bound_value,
+                    _NOT_STRUCTURED)
+        lines.append(f"{head}{last};{columns}\n")
+    return "".join(lines)
 
 
 @dataclass
@@ -221,24 +261,29 @@ def _prune_limit(space: SearchSpace) -> int:
     return max(space.bound().value, card)
 
 
-def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None]
-                 ) -> tuple[int | None, list[tuple[tuple[int, ...], int]], int]:
-    """Walk one shard; returns (min_card, rows, measured).
+def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None, bool,
+                              bool]
+                 ) -> tuple[int | None, list[tuple[tuple[int, ...], int]], int,
+                            str]:
+    """Walk one shard; returns (min_card, rows, measured, csv_text).
 
-    With ``limit`` None every candidate is measured and ``rows`` holds a
-    plain ``(candidate, cardinality)`` pair for each, in walk order.
-    Otherwise the walk skips each subtree whose sets all exceed ``limit``,
-    ``rows`` holds only the candidates at or below the bound, and
-    ``min_card`` is the least measured cardinality. Only ints and tuples
-    of ints cross the process boundary; the records are built in the
-    parent.
+    With ``limit`` None every candidate is measured; otherwise the walk
+    skips each subtree whose sets all exceed ``limit``. ``min_card`` is the
+    least measured cardinality. ``rows`` holds a plain ``(candidate,
+    cardinality)`` pair, in walk order, for every measured candidate when
+    ``keep_all`` is set, and otherwise only for those at or below the
+    bound. When ``csv`` is set, ``csv_text`` holds the CSV lines of the
+    emitted candidates, every measured one when ``limit`` is None and
+    those at or below the bound otherwise; it is empty when ``csv`` is not
+    set. Only ints, tuples of ints and a string cross the process
+    boundary; the records are built in the parent.
     """
-    space, key, limit = args
-    keep_all = limit is None
+    space, key, limit, keep_all, csv = args
     bound_value = space.bound().value
     measured = 0
     min_card: int | None = None
     rows: list[tuple[tuple[int, ...], int]] = []
+    emitted: list[tuple[tuple[int, ...], int]] = []
     for candidate, card in prefix_cardinalities(key, space.h, space.max_element,
                                                 space.k, limit):
         if not _passes_filter(space, candidate):
@@ -246,40 +291,51 @@ def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None]
         measured += 1
         if min_card is None or card < min_card:
             min_card = card
-        if keep_all or card <= bound_value:
+        kept = card <= bound_value
+        if keep_all or kept:
             rows.append((candidate, card))
-    return min_card, rows, measured
+        if csv and (kept or limit is None):
+            emitted.append((candidate, card))
+    return (min_card, rows, measured,
+            _csv_text(emitted, bound_value) if csv else "")
 
 
 def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
           emit: str = "interesting",
-          on_record: Callable[[SearchRecord], None] | None = None) -> SweepSummary:
+          on_record: Callable[[SearchRecord], None] | None = None,
+          csv_sink: Callable[[str], object] | None = None) -> SweepSummary:
     """Visit every set in the space and summarize bound behaviour.
 
     Raises before starting if the space exceeds ``budget`` candidate sets
     or its DP rows are too large to walk (``SearchSpace.admit``).
     ``on_record`` receives emitted records in deterministic (lexicographic)
     order; ``emit`` selects all records, only equality/violation records,
-    or none. Unless every record is emitted, the walk prunes each subtree
-    whose sets must all exceed ``_prune_limit``: none of them could be an
-    emitted record or the minimum, and ``visited`` counts them with the
-    rest, as ``space.size()``. With ``workers > 1`` shards run in
-    separate processes, at most one per shard and per CPU. Either way a
-    shard returns only ``(candidate, cardinality)`` rows, and each record
-    is built once, here, while the shards are merged in shard order, so
-    results and callback order do not depend on the worker count. A shard
-    is merged, and its records passed to ``on_record``, as soon as it and
-    every earlier shard are done, so records are not held until the whole
-    sweep ends.
+    or none. ``csv_sink``, such as an open file's ``write``, receives the
+    same emitted records as CSV lines (``SearchRecord.to_csv_row`` and a
+    newline each), one string per shard, formatted in the shard; no
+    record is built for them. Unless every record is emitted, the walk
+    prunes each subtree whose sets must all exceed ``_prune_limit``: none
+    of them could be an emitted record or the minimum, and ``visited``
+    counts them with the rest, as ``space.size()``. With ``workers > 1``
+    shards run in separate processes, at most one per shard and per CPU.
+    Either way a shard returns only ``(candidate, cardinality)`` rows and
+    its CSV text, and each record is built once, here, while the shards
+    are merged in shard order, so results, callback order and CSV do not
+    depend on the worker count. A shard is merged, and its records and
+    CSV passed on, as soon as it and every earlier shard are done, so
+    nothing is held until the whole sweep ends.
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
     space.admit(budget)
     emitting = on_record is not None and emit != "none"
+    csv = csv_sink is not None and emit != "none"
     # only a consumer of every record needs every set measured; otherwise
     # shards ship only the rows the summary keeps
-    limit = None if emitting and emit == "all" else _prune_limit(space)
-    args = [(space, key, limit) for key in space.shard_keys()]
+    limit = (None if (emitting or csv) and emit == "all"
+             else _prune_limit(space))
+    keep_all = emitting and limit is None
+    args = [(space, key, limit, keep_all, csv) for key in space.shard_keys()]
     bound_value = space.bound().value
     measured = 0
     min_card: int | None = None
@@ -291,7 +347,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
         # either map yields each shard's result in shard order once it is done
         shard_results = (map(_sweep_shard, args) if pool is None
                          else pool.map(_sweep_shard, args))
-        for shard_min, rows, shard_measured in shard_results:
+        for shard_min, rows, shard_measured, text in shard_results:
             measured += shard_measured
             if shard_min is not None and (min_card is None
                                           or shard_min < min_card):
@@ -304,6 +360,8 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
                     violations.append(record)
                 if emitting:
                     on_record(record)
+            if text:
+                csv_sink(text)
     finally:
         if pool is not None:
             # after an error, such as a closed output pipe, queued shards

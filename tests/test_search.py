@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import os
 import random
@@ -290,24 +292,41 @@ class TestPrefixSharedSweep:
             assert (first[1] == []) == (emit == "none")
 
     @pytest.mark.parametrize("emit", ["all", "interesting", "none"])
-    def test_shards_return_only_ints_and_int_tuples(self, emit):
+    def test_shards_return_only_ints_and_int_tuples(self, monkeypatch, emit):
+        # and their CSV text, a str that is empty unless a CSV sink takes it
         space = SearchSpace(k=6, h=4, max_element=12, family=Family.ZERO_BASED,
                             filter_id="primitive")
         bound = space.bound().value
-        # the shard argument sweep() passes when it emits in this mode
-        limit = None if emit == "all" else search._prune_limit(space)
-        rows_seen = 0
-        for key in space.shard_keys():
-            min_card, rows, measured = search._sweep_shard((space, key, limit))
-            assert type(min_card) in (int, type(None))
-            assert type(measured) is int
-            for candidate, card in rows:
-                assert type(candidate) is tuple
-                assert all(type(x) is int for x in candidate)
-                assert type(card) is int
-                assert emit == "all" or card <= bound
-            rows_seen += len(rows)
-        assert rows_seen > 0
+        shard = search._sweep_shard
+        results = []
+
+        def spy(args):
+            results.append(shard(args))
+            return results[-1]
+
+        monkeypatch.setattr(search, "_sweep_shard", spy)
+        for consumer in ("on_record", "csv_sink"):
+            results.clear()
+            sweep(space, emit=emit, **{consumer: lambda x: None})
+            rows_seen = 0
+            for min_card, rows, measured, text in results:
+                assert type(min_card) in (int, type(None))
+                assert type(measured) is int
+                assert type(text) is str
+                lines = text.count("\n")
+                if consumer == "on_record" or emit == "none":
+                    assert lines == 0
+                else:
+                    assert lines == (measured if emit == "all" else len(rows))
+                for candidate, card in rows:
+                    assert type(candidate) is tuple
+                    assert all(type(x) is int for x in candidate)
+                    assert type(card) is int
+                    # every row crosses only for records of every set
+                    assert (emit == "all" and consumer == "on_record"
+                            or card <= bound)
+                rows_seen += len(rows)
+            assert rows_seen > 0
 
     def test_emit_all_without_consumer_ships_only_kept_rows(self,
                                                              monkeypatch):
@@ -342,6 +361,60 @@ class TestPrefixSharedSweep:
         assert shards_run == len(space.shard_keys()) > 1
         assert seen_at[0] == 1
         assert seen_at == sorted(seen_at)
+        # the CSV sink gets one block per shard, each before the next runs
+        shards_run = 0
+        blocks: list[str] = []
+        seen_at.clear()
+
+        def sink(text):
+            blocks.append(text)
+            seen_at.append(shards_run)
+
+        sweep(space, emit="all", csv_sink=sink)
+        assert seen_at == list(range(1, len(space.shard_keys()) + 1))
+        assert all(b.endswith("\n") for b in blocks)
+
+
+class TestCsvSink:
+    @pytest.mark.parametrize("family, max_element", [
+        (Family.POSITIVE, 12), (Family.ZERO_BASED, 11)])
+    def test_shard_csv_is_the_records_csv(self, family, max_element):
+        kinds = set()
+        for filter_id, emit in itertools.product(FILTER_IDS, EMIT_MODES):
+            space = SearchSpace(k=5, h=4, max_element=max_element,
+                                family=family, filter_id=filter_id)
+            records = []
+            summary = sweep(space, emit=emit, on_record=records.append)
+            expected = "".join(r.to_csv_row() + "\n" for r in records)
+            for workers in (1, 2):
+                blocks = []
+                assert sweep(space, workers=workers, emit=emit,
+                             csv_sink=blocks.append).to_dict() == \
+                    summary.to_dict(), (space, emit, workers)
+                assert "".join(blocks) == expected, (space, emit, workers)
+            kinds.update(r.structure.kind for r in records)
+        assert kinds == ({StructureKind.ODD_AP_DILATE, StructureKind.GENERAL_AP,
+                          StructureKind.NONE} if family is Family.POSITIVE
+                         else {StructureKind.ZERO_AP_DILATE,
+                               StructureKind.NONE})
+
+    def test_violations_with_records_and_csv_together(self, monkeypatch):
+        # a bound of 33, not 25, makes the sets of 25 to 31 sums violations
+        # (structured or not) and five unstructured sets equality cases
+        space = SearchSpace(k=5, h=4, max_element=10, family=Family.POSITIVE)
+        raised = dataclasses.replace(space.bound(),
+                                     value=space.bound().value + 8)
+        monkeypatch.setattr(SearchSpace, "bound", lambda self: raised)
+        for emit in ("all", "interesting"):
+            records, blocks = [], []
+            summary = sweep(space, emit=emit, on_record=records.append,
+                            csv_sink=blocks.append)
+            assert summary.violation_count > 0
+            assert len(records) == (space.size() if emit == "all" else
+                                    summary.violation_count
+                                    + summary.equality_count)
+            assert "".join(blocks) == "".join(r.to_csv_row() + "\n"
+                                              for r in records)
 
 
 def _every_small_space():

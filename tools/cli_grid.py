@@ -10,17 +10,18 @@ in this one process, and each prints one JSON line: its argv, exit code,
 stdout and stderr. Run the grid on two checkouts and ``diff`` the two
 outputs: identical lines mean byte-identical behaviour on every command.
 
-The grid's 1,218 commands cover every verb: each checker on sixteen sets
+The grid's 1,222 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
 k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
 reach the checkers (whose hypotheses refuse them) and the sumset
 operators; a few elements near 10^6 (the set-based DP's
 inputs) under every operator and through the checkers; the bound
 catalogue; sweeps of both families over every h, every emit mode, CSV on
-stdout, JSON, two worker counts, primitive counts past the dilates by 2,
-and the budget, window and DP-size refusals; seeded probes; every
-reproduce target; and usage errors. No command writes a file, and none
-is large enough to allocate much or run long on older checkouts.
+stdout, JSON, two worker counts (each with CSV in every emit mode that
+writes it), primitive counts past the dilates by 2, and the budget,
+window and DP-size refusals; seeded probes; every reproduce target; and
+usage errors. No command writes a file, and none is large enough to
+allocate much or run long on older checkouts.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ def commands() -> list[str]:
     for family in ("positive", "zero-based"):
         grid.append(f"sweep --k 6 --h 4 --max 14 --family {family} "
                     f"--threads 2 --emit all --csv - --json")
+        grid.append(f"sweep --k 6 --h 4 --max 14 --family {family} "
+                    f"--threads 2 --emit interesting --csv -")
+        grid.append(f"sweep --k 6 --h 4 --max 14 --family {family} "
+                    f"--threads 2 --primitive-only --emit all --csv -")
         grid.append(f"sweep --k 5 --h 4 --max 20 --family {family} "
                     f"--threads 2 --json")
         # M = 30 takes the primitive count past the dilates by d = 2
