@@ -268,6 +268,21 @@ def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
     return _achievable(a.elements, h, op, half_width).bit_count()
 
 
+def admit_walk(h: int, k: int, max_element: int) -> int:
+    """Admit a walk over the k-sets of ``[0, max_element]`` at fold h, or
+    refuse it as ``_guard`` refuses a DP, and return its bitmaps' offset
+    ``h * max_element``.
+
+    That offset bounds every partial sum of every set in the walk, so this
+    one check sizes the whole walk. ``prefix_cardinalities`` and
+    ``SearchSpace.admit`` both call it, so a sweep is refused by the same
+    rule before it starts as when it walks.
+    """
+    half_width = h * max_element
+    _guard(h, k, True, half_width)
+    return half_width
+
+
 def prefix_cardinalities(
         head: tuple[int, ...], h: int, max_element: int, k: int,
         limit: int | None = None,
@@ -281,9 +296,10 @@ def prefix_cardinalities(
     restricted signed sumset. The walk is depth first and keeps the DP rows
     of each prefix, so a prefix shared by many candidates is processed
     once. Every bitmap sits at the fixed offset ``h * max_element``, which
-    bounds every partial sum in the space, so the range guard runs once
-    here rather than once per candidate. Rows that can no longer reach
-    weight h are dropped, and at the last element only row h is formed.
+    bounds every partial sum in the space, so the range guard runs once,
+    in :func:`admit_walk`, rather than once per candidate. Rows that can no
+    longer reach weight h are dropped, and at the last element only row h
+    is formed.
 
     With a ``limit``, the walk is branch and bound. A prefix ``A_j`` longer
     than ``head``, of ``h <= j < k`` elements, with
@@ -306,9 +322,7 @@ def prefix_cardinalities(
     step repeats for each of the ``k - j`` elements still to come. The
     proof uses nothing from the paper.
     """
-    half_width = h * max_element
-    _guard(h, k, True, half_width)
-    dp = _rows(head, h, False, True, k, 1 << half_width)
+    dp = _rows(head, h, False, True, k, 1 << admit_walk(h, k, max_element))
     return _extend(head, dp, h, max_element, k,
                    {} if limit is None else _caps(h, k, limit))
 

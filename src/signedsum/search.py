@@ -38,8 +38,8 @@ from math import comb, gcd
 from typing import Callable, Iterator
 
 from .bounds import BoundFormula, Family
-from .engine import _guard, prefix_cardinalities
-from .sets import (_NOT_STRUCTURED, IntegerSet, Record, StructureClass,
+from .engine import admit_walk, prefix_cardinalities
+from .sets import (NOT_STRUCTURED, IntegerSet, Record, StructureClass,
                    classify_structure)
 
 DEFAULT_BUDGET = 10**7
@@ -96,7 +96,8 @@ class SearchSpace:
 
     def admit(self, budget: int) -> None:
         """Refuse a space of over ``budget`` candidate sets, then one whose
-        DP rows the walk would refuse. C(M, i) rises with i up to
+        DP rows the walk would refuse, by the walk's own check,
+        :func:`~signedsum.engine.admit_walk`. C(M, i) rises with i up to
         min(free, M - free): it is built one factor at a time, and a count
         past max(budget, 10**18) is named, not printed."""
         m, free = self.max_element, self.free
@@ -109,7 +110,7 @@ class SearchSpace:
         if size > budget:
             raise ValueError(
                 f"budget exceeded: {size} candidate sets > budget {budget}")
-        _guard(self.h, self.k, True, self.h * m)
+        admit_walk(self.h, self.k, m)
 
     def shard_keys(self) -> list[tuple[int, ...]]:
         """Head of each shard, in lexicographic order: the two smallest free
@@ -195,7 +196,7 @@ def _csv_text(rows: list[tuple[tuple[int, ...], int]], bound_value: int) -> str:
             if columns is None:
                 columns = unstructured[card] = _csv_columns(
                     card, card - bound_value, card == bound_value,
-                    _NOT_STRUCTURED)
+                    NOT_STRUCTURED)
         lines.append(f"{head}{last};{columns}\n")
     return "".join(lines)
 
@@ -227,12 +228,6 @@ class SweepSummary:
             "equality_sets": [r.set.to_list() for r in self.equality_sets],
             "violations": [r.to_dict() for r in self.violations],
         }
-
-
-def _passes_filter(space: SearchSpace, candidate: tuple[int, ...]) -> bool:
-    if space.filter_id == "primitive":
-        return gcd(*candidate) == 1
-    return True
 
 
 def _record(candidate: tuple[int, ...], card: int,
@@ -280,13 +275,14 @@ def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None, bool,
     """
     space, key, limit, keep_all, csv = args
     bound_value = space.bound().value
+    primitive = space.filter_id == "primitive"
     measured = 0
     min_card: int | None = None
     rows: list[tuple[tuple[int, ...], int]] = []
     emitted: list[tuple[tuple[int, ...], int]] = []
     for candidate, card in prefix_cardinalities(key, space.h, space.max_element,
                                                 space.k, limit):
-        if not _passes_filter(space, candidate):
+        if primitive and gcd(*candidate) != 1:
             continue
         measured += 1
         if min_card is None or card < min_card:
@@ -409,13 +405,14 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
     rng = random.Random(seed)
     m = space.max_element
     bound_value = space.bound().value
+    primitive = space.filter_id == "primitive"
     min_slack: int | None = None
     violations: list[SearchRecord] = []
     equality_sets: list[SearchRecord] = []
     for _ in range(trials):
         draw = sorted(rng.sample(range(1, m + 1), space.free))
         candidate = space.family.fixed + tuple(draw)
-        if not _passes_filter(space, candidate):
+        if primitive and gcd(*candidate) != 1:
             continue
         # the whole candidate as the head: the walk yields just its row
         [(_, card)] = prefix_cardinalities(candidate, space.h, m, space.k)

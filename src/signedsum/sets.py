@@ -50,7 +50,7 @@ class StructureClass(Record):
     d: int | None = None
 
 
-_NOT_STRUCTURED = StructureClass(StructureKind.NONE)  # immutable, so shared
+NOT_STRUCTURED = StructureClass(StructureKind.NONE)  # immutable, so shared
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,18 @@ class IntegerSet:
 def make_set(raw) -> IntegerSet:
     """Sort and deduplicate ``raw`` into an IntegerSet.
 
+    Every element is checked as given, before duplicates are merged, so a
+    bool, a float or any other non-integer is refused wherever it stands
+    (``True == 1`` and ``1.0 == 1`` would otherwise merge into an int).
     Duplicates are merged silently (set semantics). Empty input is an error.
     """
-    elements = tuple(sorted(set(raw)))
-    if not elements:
-        raise ValueError("empty set")
+    elements = tuple(raw)
     for x in elements:
         if not isinstance(x, int) or isinstance(x, bool):
             raise ValueError(f"non-integer element {x!r}")
-    return IntegerSet(elements)
+    if not elements:
+        raise ValueError("empty set")
+    return IntegerSet(tuple(sorted(set(elements))))
 
 
 def dilate(a: IntegerSet, c: int) -> IntegerSet:
@@ -161,10 +164,10 @@ def classify_structure(a: IntegerSet) -> StructureClass:
     prev = e[1]
     for x in e[2:]:
         if x - prev != step:
-            return _NOT_STRUCTURED
+            return NOT_STRUCTURED
         prev = x
     if first < 0:
-        return _NOT_STRUCTURED
+        return NOT_STRUCTURED
     if first > 0 and step == 2 * first:  # d * {1, 3, ..., 2k-1}
         return StructureClass(StructureKind.ODD_AP_DILATE, first)
     if first == 0:  # d * {0, 1, ..., k-1}

@@ -10,6 +10,7 @@ import pytest
 from signedsum import (Family, IntegerSet, Operator, SearchSpace,
                        StructureKind, check_direct, classify_structure,
                        random_probe, search, sumset_cardinality, sweep)
+from signedsum.engine import admit_walk, prefix_cardinalities
 from signedsum.search import (CSV_HEADER, EMIT_MODES, FILTER_IDS, ProbeSummary,
                               SearchRecord)
 
@@ -93,6 +94,21 @@ class TestSweep:
                             family=Family.POSITIVE)
         with pytest.raises(ValueError, match="range overflow"):
             sweep(space, budget=10**40, emit="all", on_record=lambda r: None)
+
+    def test_admission_boundary_is_the_walks_own(self):
+        # M* is the largest M with (h + 1)(2hM + 1) <= 2**30 at k=4, h=3;
+        # nothing is walked at M*, whose rows would take about 128 MiB
+        top = 44_739_242
+        assert 4 * (6 * top + 1) <= 2**30 < 4 * (6 * (top + 1) + 1)
+        SearchSpace(k=4, h=3, max_element=top,
+                    family=Family.POSITIVE).admit(10**40)
+        assert admit_walk(3, 4, top) == 3 * top
+        over = SearchSpace(k=4, h=3, max_element=top + 1,
+                           family=Family.POSITIVE)
+        with pytest.raises(ValueError, match="range overflow"):
+            over.admit(10**40)
+        with pytest.raises(ValueError, match="range overflow"):
+            prefix_cardinalities((1, 2), 3, top + 1, 4)
 
     def test_deterministic_summaries(self):
         first = sweep(space_h4_positive(16))

@@ -43,6 +43,18 @@ class TestMakeSet:
         with pytest.raises(ValueError, match="non-integer"):
             make_set([1, 2.5])
 
+    @pytest.mark.parametrize("raw", [
+        [1, True], [True, 1], [1, 1.0, 3], [1.0, 1, 3], ["a", 1], [1, "a"],
+        iter([2, False, 0]),
+    ])
+    def test_each_element_checked_before_merging(self, raw):
+        # True == 1 and 1.0 == 1, so merging first let the order decide
+        with pytest.raises(ValueError, match="non-integer"):
+            make_set(raw)
+
+    def test_iterator_input(self):
+        assert make_set(iter([3, 1, 3])).elements == (1, 3)
+
     def test_accessors(self):
         a = make_set([3, 1, 8])
         assert a.min_element == 1
