@@ -370,8 +370,13 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
 
 @dataclass
 class ProbeSummary:
+    """``trials`` counts every draw; ``measured`` counts those that passed
+    the filter and were measured. ``measured`` is not part of
+    ``to_dict()``."""
+
     space: SearchSpace
     trials: int
+    measured: int
     seed: int
     min_slack: int | None
     violation_count: int
@@ -397,8 +402,9 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
     """Sample ``trials`` sets uniformly from the space and check the bound.
 
     Each trial draws the set's elements without replacement; the sequence
-    of draws is fully determined by ``seed``. Any violation is recorded as
-    a counterexample and must be surfaced by callers.
+    of draws is fully determined by ``seed``. A draw that fails the
+    primitive filter counts as a trial but is not measured. Any violation
+    is recorded as a counterexample and must be surfaced by callers.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -406,6 +412,7 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
     m = space.max_element
     bound_value = space.bound().value
     primitive = space.filter_id == "primitive"
+    measured = 0
     min_slack: int | None = None
     violations: list[SearchRecord] = []
     equality_sets: list[SearchRecord] = []
@@ -414,6 +421,7 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
         candidate = space.family.fixed + tuple(draw)
         if primitive and gcd(*candidate) != 1:
             continue
+        measured += 1
         # the whole candidate as the head: the walk yields just its row
         [(_, card)] = prefix_cardinalities(candidate, space.h, m, space.k)
         slack = card - bound_value
@@ -425,5 +433,6 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
                 equality_sets.append(record)
             else:
                 violations.append(record)
-    return ProbeSummary(space, trials, seed, min_slack, len(violations),
-                        violations, len(equality_sets), equality_sets)
+    return ProbeSummary(space, trials, measured, seed, min_slack,
+                        len(violations), violations, len(equality_sets),
+                        equality_sets)

@@ -287,11 +287,15 @@ class TestPrefixWalk:
                 free = k - 1 if zero_based else k
                 for max_element in (free + 1, free + 4):
                     for h in range(1, k + 1):
-                        for head in self.heads(max_element, k, zero_based):
+                        # from the family's own head the walk passes every
+                        # depth below h, where only the Minkowski floor prunes
+                        heads = [(0,) if zero_based else ()]
+                        heads += self.heads(max_element, k, zero_based)
+                        for head in heads:
                             full = list(prefix_cardinalities(
                                 head, h, max_element, k))
                             cards = sorted(card for _, card in full)
-                            for limit in {cards[0], cards[len(cards) // 2],
+                            for limit in {0, cards[0], cards[len(cards) // 2],
                                           cards[-1] - 1}:
                                 walked = iter(prefix_cardinalities(
                                     head, h, max_element, k, limit))
@@ -326,20 +330,66 @@ class TestPrefixWalk:
                     for x in range(prefix[-1] + 1, 12):
                         assert size(prefix + (x,)) >= floor, (prefix, x)
 
+    @pytest.mark.parametrize("k, h", [(4, 2), (4, 3), (5, 3), (5, 4),
+                                      (6, 4), (6, 5)])
+    def test_every_completion_meets_both_floors(self, k, h):
+        sizes = {}
+
+        def size(elements, fold):
+            if fold == 0:
+                return 1  # only the empty vector
+            if (elements, fold) not in sizes:
+                sizes[elements, fold] = compute_sumset_naive(
+                    IntegerSet(elements), fold, RS).cardinality
+            return sizes[elements, fold]
+
+        def floor(prefix):
+            j, m = len(prefix), k - len(prefix)
+            floors = [size(prefix, h - w) + 2 * (w * (m - w) + 1) - 1
+                      for w in range(1, min(h, m) + 1) if h - w <= j]
+            if j >= h:
+                floors.append(size(prefix, h) + 2 * h * m)
+            return max(floors)
+
+        # every prefix of every set is a prefix with each of its completions
+        for fixed in ((), (0,)):
+            for rest in itertools.combinations(range(1, 11), k - len(fixed)):
+                a = fixed + rest
+                card = size(a, h)
+                caps = _caps(h, k, card)  # the tightest limit a is within
+                for j in range(1, k):
+                    prefix = a[:j]
+                    assert card >= floor(prefix), (a, j)
+                    # so the walk's own table never prunes a's prefixes,
+                    for r, cap in caps[j]:
+                        assert size(prefix, r) <= cap, (a, j, r)
+                    # and it prunes the prefix below its floor
+                    below = _caps(h, k, floor(prefix) - 1)[j]
+                    assert any(size(prefix, r) > cap for r, cap in below)
+
     @pytest.mark.parametrize("k, h, family, limit, caps", [
-        (5, 4, Family.POSITIVE, 25, {}),
-        (7, 5, Family.POSITIVE, 46, {5: 26, 6: 36}),
-        (5, 4, Family.ZERO_BASED, 21, {4: 13}),
+        (5, 4, Family.POSITIVE, 25, {4: {3: 24}}),
+        (7, 5, Family.POSITIVE, 46, {5: {3: 45, 4: 43, 5: 26},
+                                     6: {4: 45, 5: 36}}),
+        (5, 4, Family.ZERO_BASED, 21, {4: {3: 20, 4: 13}}),
     ])
     def test_caps_only_the_depths_a_prefix_can_exceed(self, k, h, family,
                                                       limit, caps):
         space = SearchSpace(k=k, h=h, max_element=14, family=family)
         assert search._prune_limit(space) == limit
-        assert _caps(h, k, limit) == caps
-        if not caps:  # no depth is checked, so nothing is pruned
-            head = family.fixed
-            assert (list(prefix_cardinalities(head, h, 14, k, limit))
-                    == list(prefix_cardinalities(head, h, 14, k)))
+        table = _caps(h, k, limit)
+        assert len(table) == k + 1
+        assert {j: dict(pairs) for j, pairs in enumerate(table) if pairs} == caps
+        # each depth lists its rows lowest first
+        assert all(list(dict(pairs)) == sorted(dict(pairs)) for pairs in table)
+
+    def test_no_cap_prunes_nothing(self):
+        # a 4-element prefix has at most C(4, 3) * 2^3 = 32 sums in row 3
+        assert _caps(4, 5, 32) == ((), (), (), (), ((3, 31),), ())
+        assert not any(_caps(4, 5, 33))
+        for head in ((), (0,)):
+            assert (list(prefix_cardinalities(head, 4, 14, 5, 33))
+                    == list(prefix_cardinalities(head, 4, 14, 5)))
 
     def test_guards(self):
         with pytest.raises(ValueError, match="positive"):

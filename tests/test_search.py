@@ -209,13 +209,26 @@ class TestRandomProbe:
                     space = SearchSpace(k=k, h=h, max_element=max_element,
                                         family=family, filter_id=primitive)
                     got = random_probe(space, 150, seed)
-                    assert got.to_dict() == _reference_probe(space, 150, seed)
+                    reference = _reference_probe(space, 150, seed)
+                    assert got.to_dict() == reference.to_dict()
+                    assert got.measured == reference.measured
+
+    def test_measured_counts_only_draws_that_pass_the_filter(self):
+        space = SearchSpace(k=5, h=3, max_element=12, family=Family.ZERO_BASED,
+                            filter_id="primitive")
+        summary = random_probe(space, 200, seed=1)
+        assert (summary.trials, summary.measured) == (200, 192)
+        assert "measured" not in summary.to_dict()
+        unfiltered = SearchSpace(k=5, h=3, max_element=12,
+                                 family=Family.ZERO_BASED)
+        assert random_probe(unfiltered, 200, seed=1).measured == 200
 
 
 def _reference_probe(space, trials, seed):
     """random_probe as first written: check_direct on every sample."""
     rng = random.Random(seed)
     m = space.max_element
+    measured = 0
     min_slack = None
     violations, equality_sets = [], []
     for _ in range(trials):
@@ -226,6 +239,7 @@ def _reference_probe(space, trials, seed):
                                                        space.k - 1)))
         if space.filter_id == "primitive" and gcd(*candidate) != 1:
             continue
+        measured += 1
         a = IntegerSet(candidate)
         report = check_direct(a, space.h)
         if min_slack is None or report.slack < min_slack:
@@ -234,9 +248,9 @@ def _reference_probe(space, trials, seed):
             record = SearchRecord(a, report.cardinality, report.slack,
                                   report.equality, classify_structure(a))
             (equality_sets if record.equality else violations).append(record)
-    return ProbeSummary(space, trials, seed, min_slack, len(violations),
-                        violations, len(equality_sets),
-                        equality_sets).to_dict()
+    return ProbeSummary(space, trials, measured, seed, min_slack,
+                        len(violations), violations, len(equality_sets),
+                        equality_sets)
 
 
 SMALL_SPACES = [
@@ -505,6 +519,14 @@ class TestBranchAndBound:
         assert summary.visited == 77520
         assert summary.measured < 100
         assert "measured" not in summary.to_dict()
+        # the Minkowski floor prunes where the 2h step has no cap: at k = 5,
+        # h = 4 the positive table's only pair is on row 3
+        positive = sweep(SearchSpace(k=5, h=4, max_element=20,
+                                     family=Family.POSITIVE))
+        assert (positive.measured, positive.visited) == (2390, 15504)
+        zero = sweep(SearchSpace(k=6, h=5, max_element=14,
+                                 family=Family.ZERO_BASED))
+        assert (zero.measured, zero.visited) == (428, 2002)
         primitive = SearchSpace(k=6, h=4, max_element=13,
                                 family=Family.ZERO_BASED, filter_id="primitive")
         full = sweep(primitive, emit="all", on_record=lambda r: None)
