@@ -42,10 +42,10 @@ adds 2h sums per element still to come to the prefix's own sumset, and
 holds from h elements on. The second, from the Minkowski bound, adds the
 fewest signed sums of the elements still to come to a lower row of the
 prefix, so it also holds on shorter prefixes. Each floor caps one row
-of the prefix, and the walk checks a row only at the depths, and below
-the parents, where a prefix can exceed its cap. The naive path literally
-enumerates every admissible coefficient vector and exists purely to
-cross-check the fast paths.
+of the prefix, and the walk checks a row only at the depths where a
+prefix can exceed its cap. The naive path literally enumerates every
+admissible coefficient vector and exists purely to cross-check the fast
+paths.
 """
 
 from __future__ import annotations
@@ -318,9 +318,9 @@ def prefix_cardinalities(
 
     Each floor is a cap on one row of the prefix, and ``_caps``, built once
     per ``(h, k, limit)``, keeps a cap only at the depths where a prefix
-    can exceed it. A child's checked rows are each formed alone, one
-    shift-or of its parent's rows, before its DP step, and a cap that no
-    child of a parent can exceed is not checked on its children.
+    can exceed it, and that table is the walk's only pruning rule. A
+    child's capped rows are each formed alone, one shift-or of its
+    parent's rows, before its DP step.
 
     Proof of the first, the 2h step: let ``T`` be the sum of the top h
     elements of ``A_j``, which is ``max h^+-A_j`` as the elements are
@@ -369,8 +369,8 @@ def _caps(h: int, k: int, limit: int) -> Caps:
     ``C(j, r) * 2^r`` sums. A depth with no pair is not checked. Each
     depth lists its rows lowest first, the order in which the walk checks
     them: the low rows prune more children, so the pruned sweeps of
-    ``k=7, h=5, M=20`` and ``k=10, h=9, M=22`` (positive) evaluate 11,958
-    and 94,957 checks in this order, against 13,709 and 110,658 highest
+    ``k=7, h=5, M=20`` and ``k=10, h=9, M=22`` (positive) evaluate 12,097
+    and 101,343 caps in this order, against 14,542 and 172,271 highest
     first. The table is a tuple, so the cache hands out nothing a caller
     can change, and a sweep builds it once for all its shards.
     """
@@ -386,37 +386,20 @@ def _caps(h: int, k: int, limit: int) -> Caps:
     return tuple(caps)
 
 
-def _checks(dp: list[int], pairs: tuple[tuple[int, int], ...]
-            ) -> list[tuple[int, int, int]]:
-    """The ``(row r - 1, row r, cap)`` of each pair that some child of the
-    prefix with rows ``dp`` could exceed. Adding ``a`` makes the child's row
-    r ``dp[r] | dp[r - 1] << a | dp[r - 1] >> a``, of at most
-    ``|dp[r]| + 2|dp[r - 1]|`` sums, so a pair whose cap this count meets
-    cannot prune any child and is not checked."""
-    checks = []
-    for r, cap in pairs:
-        below = dp[r - 1] if r else 0
-        if dp[r].bit_count() + 2 * below.bit_count() > cap:
-            checks.append((below, dp[r], cap))
-    return checks
-
-
 def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
             k: int, caps: Caps) -> Iterator[tuple[tuple[int, ...], int]]:
     """The walk below ``head``, whose rows are ``dp``; a child of j elements
     whose row r holds more than its cap in ``caps[j]`` is not extended. It
     keeps a stack with one frame per depth, ``(prefix, rows, iterator over
-    the elements still to try next, checks on their children)``, rather
-    than recursing, so k is not bounded by Python's recursion limit."""
+    the elements still to try next)``, rather than recursing, so k is not
+    bounded by Python's recursion limit."""
     if len(head) == k:
         yield head, dp[h].bit_count()
         return
     start = head[-1] + 1 if head else 1
-    depth = len(head) + 1
-    stack = [(head, dp, iter(range(start, max_element - k + depth + 1)),
-              _checks(dp, caps[depth]))]
+    stack = [(head, dp, iter(range(start, max_element - k + len(head) + 2)))]
     while stack:
-        prefix, dp, elements, checks = stack[-1]
+        prefix, dp, elements = stack[-1]
         left = k - len(prefix) - 1  # elements to place after the next one
         if left == 0:
             # the last element forms only row h: _step(dp, a, ..., h)[h]
@@ -425,16 +408,17 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
                 yield prefix + (a,), (below << a | below >> a | row).bit_count()
             stack.pop()
             continue
+        pairs = caps[len(prefix) + 1]
         for a in elements:
-            # each checked row of the child is formed alone, before _step
-            for below, row, cap in checks:
-                if (below << a | below >> a | row).bit_count() > cap:
+            # each capped row of the child is formed alone, before _step
+            for r, cap in pairs:
+                below = dp[r - 1] if r else 0
+                if (below << a | below >> a | dp[r]).bit_count() > cap:
                     break
             else:
                 child = _step(dp, a, False, True, h - left)
                 stack.append((prefix + (a,), child,
-                              iter(range(a + 1, max_element - left + 2)),
-                              _checks(child, caps[len(prefix) + 2])))
+                              iter(range(a + 1, max_element - left + 2))))
                 break
         else:
             stack.pop()

@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bounds import BoundFormula, Family
 from .engine import admit_walk, prefix_cardinalities
@@ -230,11 +230,26 @@ class SweepSummary:
         }
 
 
-def _record(candidate: tuple[int, ...], card: int,
-            bound_value: int) -> SearchRecord:
-    a = IntegerSet(candidate)
-    slack = card - bound_value
-    return SearchRecord(a, card, slack, slack == 0, classify_structure(a))
+def _file_records(rows: list[tuple[tuple[int, ...], int]], bound_value: int,
+                  equality_sets: list[SearchRecord],
+                  violations: list[SearchRecord],
+                  on_record: Callable[[SearchRecord], None] | None = None
+                  ) -> None:
+    """Build the record of each ``(candidate, cardinality)`` row, append it
+    to ``equality_sets`` or ``violations`` when it is one, and pass every
+    record to ``on_record`` when given: the one place where the sweep's
+    merge and the probe turn shipped rows into records."""
+    for candidate, card in rows:
+        a = IntegerSet(candidate)
+        slack = card - bound_value
+        record = SearchRecord(a, card, slack, slack == 0,
+                              classify_structure(a))
+        if record.equality:
+            equality_sets.append(record)
+        elif slack < 0:
+            violations.append(record)
+        if on_record is not None:
+            on_record(record)
 
 
 def _prune_limit(space: SearchSpace) -> int:
@@ -256,14 +271,18 @@ def _prune_limit(space: SearchSpace) -> int:
     return max(space.bound().value, card)
 
 
-def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None, bool,
-                              bool]
+def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
+                              int | None, bool, bool]
                  ) -> tuple[int | None, list[tuple[tuple[int, ...], int]], int,
                             str]:
-    """Walk one shard; returns (min_card, rows, measured, csv_text).
+    """Walk the candidates below each head of ``heads`` in turn; returns
+    (min_card, rows, measured, csv_text) over them all.
 
-    With ``limit`` None every candidate is measured; otherwise the walk
-    skips each subtree whose sets all exceed ``limit``. ``min_card`` is the
+    A sweep shard has one head, its key; a probe passes its draws, each a
+    whole candidate, whose walk yields just that set's row. A candidate
+    that fails the primitive filter is walked but not measured. With
+    ``limit`` None every candidate is measured; otherwise the walk skips
+    each subtree whose sets all exceed ``limit``. ``min_card`` is the
     least measured cardinality. ``rows`` holds a plain ``(candidate,
     cardinality)`` pair, in walk order, for every measured candidate when
     ``keep_all`` is set, and otherwise only for those at or below the
@@ -273,25 +292,26 @@ def _sweep_shard(args: tuple[SearchSpace, tuple[int, ...], int | None, bool,
     set. Only ints, tuples of ints and a string cross the process
     boundary; the records are built in the parent.
     """
-    space, key, limit, keep_all, csv = args
+    space, heads, limit, keep_all, csv = args
     bound_value = space.bound().value
     primitive = space.filter_id == "primitive"
     measured = 0
     min_card: int | None = None
     rows: list[tuple[tuple[int, ...], int]] = []
     emitted: list[tuple[tuple[int, ...], int]] = []
-    for candidate, card in prefix_cardinalities(key, space.h, space.max_element,
-                                                space.k, limit):
-        if primitive and gcd(*candidate) != 1:
-            continue
-        measured += 1
-        if min_card is None or card < min_card:
-            min_card = card
-        kept = card <= bound_value
-        if keep_all or kept:
-            rows.append((candidate, card))
-        if csv and (kept or limit is None):
-            emitted.append((candidate, card))
+    for head in heads:
+        for candidate, card in prefix_cardinalities(
+                head, space.h, space.max_element, space.k, limit):
+            if primitive and gcd(*candidate) != 1:
+                continue
+            measured += 1
+            if min_card is None or card < min_card:
+                min_card = card
+            kept = card <= bound_value
+            if keep_all or kept:
+                rows.append((candidate, card))
+            if csv and (kept or limit is None):
+                emitted.append((candidate, card))
     return (min_card, rows, measured,
             _csv_text(emitted, bound_value) if csv else "")
 
@@ -331,7 +351,8 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     limit = (None if (emitting or csv) and emit == "all"
              else _prune_limit(space))
     keep_all = emitting and limit is None
-    args = [(space, key, limit, keep_all, csv) for key in space.shard_keys()]
+    args = [(space, (key,), limit, keep_all, csv)
+            for key in space.shard_keys()]
     bound_value = space.bound().value
     measured = 0
     min_card: int | None = None
@@ -348,14 +369,8 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
             if shard_min is not None and (min_card is None
                                           or shard_min < min_card):
                 min_card = shard_min
-            for candidate, card in rows:
-                record = _record(candidate, card, bound_value)
-                if record.equality:
-                    equality_sets.append(record)
-                elif record.slack < 0:
-                    violations.append(record)
-                if emitting:
-                    on_record(record)
+            _file_records(rows, bound_value, equality_sets, violations,
+                          on_record if emitting else None)
             if text:
                 csv_sink(text)
     finally:
@@ -402,37 +417,26 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
     """Sample ``trials`` sets uniformly from the space and check the bound.
 
     Each trial draws the set's elements without replacement; the sequence
-    of draws is fully determined by ``seed``. A draw that fails the
-    primitive filter counts as a trial but is not measured. Any violation
-    is recorded as a counterexample and must be surfaced by callers.
+    of draws is fully determined by ``seed``. The draws are measured as
+    one sweep shard whose heads are the drawn sets, so a draw that fails
+    the primitive filter counts as a trial but is not measured. Any
+    violation is recorded as a counterexample and must be surfaced by
+    callers.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    m = space.max_element
+    population = range(1, space.max_element + 1)
+    heads = (space.family.fixed
+             + tuple(sorted(rng.sample(population, space.free)))
+             for _ in range(trials))
+    min_card, rows, measured, _ = _sweep_shard((space, heads, None, False,
+                                                False))
     bound_value = space.bound().value
-    primitive = space.filter_id == "primitive"
-    measured = 0
-    min_slack: int | None = None
+    min_slack = None if min_card is None else min_card - bound_value
     violations: list[SearchRecord] = []
     equality_sets: list[SearchRecord] = []
-    for _ in range(trials):
-        draw = sorted(rng.sample(range(1, m + 1), space.free))
-        candidate = space.family.fixed + tuple(draw)
-        if primitive and gcd(*candidate) != 1:
-            continue
-        measured += 1
-        # the whole candidate as the head: the walk yields just its row
-        [(_, card)] = prefix_cardinalities(candidate, space.h, m, space.k)
-        slack = card - bound_value
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        if slack <= 0:
-            record = _record(candidate, card, bound_value)
-            if record.equality:
-                equality_sets.append(record)
-            else:
-                violations.append(record)
+    _file_records(rows, bound_value, equality_sets, violations)
     return ProbeSummary(space, trials, measured, seed, min_slack,
                         len(violations), violations, len(equality_sets),
                         equality_sets)

@@ -391,6 +391,46 @@ class TestPrefixWalk:
             assert (list(prefix_cardinalities(head, 4, 14, 5, 33))
                     == list(prefix_cardinalities(head, 4, 14, 5)))
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_pruned_walk_is_the_cap_table_exactly(self, family, k):
+        # the walk keeps a candidate iff no prefix longer than the head,
+        # short of the whole set, has a row above a cap of its depth
+        fixed = family.fixed
+        max_element = 2 * k + 1
+        pruned = 0
+        for h in range(1, k + 1):
+            half_width = h * max_element
+            rows = {}
+
+            def exceeds(prefix, caps):
+                if prefix not in rows:
+                    rows[prefix] = engine._rows(prefix, h, False, True, k,
+                                                1 << half_width)
+                return any(rows[prefix][r].bit_count() > cap
+                           for r, cap in caps[len(prefix)])
+
+            try:
+                base = search._prune_limit(SearchSpace(
+                    k=k, h=h, max_element=max_element, family=family))
+            except ValueError:  # outside the family's window: a mid limit
+                cards = sorted(c for _, c in prefix_cardinalities(
+                    fixed, h, max_element, k))
+                base = cards[len(cards) // 2]
+            for limit in (base, base - 3, 0):
+                caps = _caps(h, k, limit)
+                for head in [fixed, *self.heads(max_element, k, bool(fixed))]:
+                    full = list(prefix_cardinalities(head, h, max_element, k))
+                    expected = [
+                        (c, card) for c, card in full
+                        if not any(exceeds(c[:j], caps)
+                                   for j in range(len(head) + 1, k))]
+                    walked = list(prefix_cardinalities(head, h, max_element,
+                                                       k, limit))
+                    assert walked == expected, (head, h, limit)
+                    pruned += len(full) - len(walked)
+        assert pruned > 0
+
     def test_guards(self):
         with pytest.raises(ValueError, match="positive"):
             prefix_cardinalities((1, 2), 0, 10, 4)

@@ -375,6 +375,31 @@ class TestPrefixSharedSweep:
         assert shipped and max(shipped) <= bound
         assert summary.to_dict() == sweep(space, emit="interesting").to_dict()
 
+    @pytest.mark.parametrize("filter_id", FILTER_IDS)
+    @pytest.mark.parametrize("family, max_element", [
+        (Family.POSITIVE, 12), (Family.ZERO_BASED, 13)])
+    @pytest.mark.parametrize("emit", ["all", "interesting"])
+    def test_many_heads_are_the_merge_of_one_head_each(self, emit, family,
+                                                        max_element,
+                                                        filter_id):
+        space = SearchSpace(k=6, h=4, max_element=max_element, family=family,
+                            filter_id=filter_id)
+        # the arguments sweep() passes for this emit mode, with and
+        # without records of every set and a CSV sink
+        limit = None if emit == "all" else search._prune_limit(space)
+        keys = space.shard_keys()
+        for keep_all, csv in ((emit == "all", True), (False, False)):
+            singles = [search._sweep_shard((space, (key,), limit, keep_all,
+                                            csv)) for key in keys]
+            min_card, rows, measured, text = search._sweep_shard(
+                (space, keys, limit, keep_all, csv))
+            assert min_card == min(s[0] for s in singles if s[0] is not None)
+            assert rows == [row for s in singles for row in s[1]]
+            assert measured == sum(s[2] for s in singles)
+            assert text == "".join(s[3] for s in singles)
+            assert rows and bool(text) == csv
+            assert any(s[0] is None for s in singles) == (emit != "all")
+
     def test_records_stream_before_the_last_shard_runs(self, monkeypatch):
         space = SearchSpace(k=5, h=4, max_element=10, family=Family.POSITIVE)
         shards_run = 0
