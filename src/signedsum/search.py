@@ -13,7 +13,8 @@ the engine walks the candidates depth first
 each shared prefix once rather than rerunning the DP for every candidate.
 A shard returns plain ``(candidate, cardinality)`` rows, so only ints and
 tuples of ints cross the process boundary, and each record is built once,
-in the parent, while the shards are merged. A sweep that writes CSV has
+in the parent, by :func:`_merge`, the one place where shipped rows become
+records, for sweeps and probes alike. A sweep that writes CSV has
 each shard format its own rows, straight from those pairs, and ship them
 as one string, so the parent builds records only for the summary.
 
@@ -31,10 +32,11 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
+from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from .bounds import BoundFormula, Family
@@ -230,28 +232,6 @@ class SweepSummary:
         }
 
 
-def _file_records(rows: list[tuple[tuple[int, ...], int]], bound_value: int,
-                  equality_sets: list[SearchRecord],
-                  violations: list[SearchRecord],
-                  on_record: Callable[[SearchRecord], None] | None = None
-                  ) -> None:
-    """Build the record of each ``(candidate, cardinality)`` row, append it
-    to ``equality_sets`` or ``violations`` when it is one, and pass every
-    record to ``on_record`` when given: the one place where the sweep's
-    merge and the probe turn shipped rows into records."""
-    for candidate, card in rows:
-        a = IntegerSet(candidate)
-        slack = card - bound_value
-        record = SearchRecord(a, card, slack, slack == 0,
-                              classify_structure(a))
-        if record.equality:
-            equality_sets.append(record)
-        elif slack < 0:
-            violations.append(record)
-        if on_record is not None:
-            on_record(record)
-
-
 def _prune_limit(space: SearchSpace) -> int:
     """The larger of the bound and the cardinality of a witness set.
 
@@ -316,6 +296,42 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
             _csv_text(emitted, bound_value) if csv else "")
 
 
+def _merge(results: Iterable[tuple[int | None, list[tuple[tuple[int, ...],
+                                                         int]], int, str]],
+           bound_value: int,
+           on_record: Callable[[SearchRecord], None] | None = None,
+           csv_sink: Callable[[str], object] | None = None
+           ) -> tuple[int, int | None, list[SearchRecord], list[SearchRecord]]:
+    """Merge ``_sweep_shard`` results, taken in order, into (measured,
+    min_card, equality_sets, violations): the one place where shipped
+    ``(candidate, cardinality)`` rows become records. Each shard's records
+    go to ``on_record`` and its CSV text to ``csv_sink``, when given, as
+    soon as that shard is merged."""
+    measured = 0
+    min_card: int | None = None
+    equality_sets: list[SearchRecord] = []
+    violations: list[SearchRecord] = []
+    for shard_min, rows, shard_measured, text in results:
+        measured += shard_measured
+        if shard_min is not None and (min_card is None
+                                      or shard_min < min_card):
+            min_card = shard_min
+        for candidate, card in rows:
+            a = IntegerSet(candidate)
+            slack = card - bound_value
+            record = SearchRecord(a, card, slack, slack == 0,
+                                  classify_structure(a))
+            if record.equality:
+                equality_sets.append(record)
+            elif slack < 0:
+                violations.append(record)
+            if on_record is not None:
+                on_record(record)
+        if text:
+            csv_sink(text)
+    return measured, min_card, equality_sets, violations
+
+
 def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
           emit: str = "interesting",
           on_record: Callable[[SearchRecord], None] | None = None,
@@ -335,11 +351,12 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     counts them with the rest, as ``space.size()``. With ``workers > 1``
     shards run in separate processes, at most one per shard and per CPU.
     Either way a shard returns only ``(candidate, cardinality)`` rows and
-    its CSV text, and each record is built once, here, while the shards
-    are merged in shard order, so results, callback order and CSV do not
-    depend on the worker count. A shard is merged, and its records and
-    CSV passed on, as soon as it and every earlier shard are done, so
-    nothing is held until the whole sweep ends.
+    its CSV text, and ``_merge`` builds each record once, in this process,
+    as it merges the shards in shard order, so results, callback order and
+    CSV do not depend on the worker count. A shard is merged, and its
+    records and CSV passed on, as soon as it and every earlier shard are
+    done, so nothing is held until the whole sweep ends. The pool's
+    workers are terminated when the sweep returns or raises.
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
@@ -353,31 +370,14 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     keep_all = emitting and limit is None
     args = [(space, (key,), limit, keep_all, csv)
             for key in space.shard_keys()]
-    bound_value = space.bound().value
-    measured = 0
-    min_card: int | None = None
-    equality_sets: list[SearchRecord] = []
-    violations: list[SearchRecord] = []
     workers = min(workers, len(args), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    # leaving the block terminates the pool, so after an error, such as a
+    # closed output pipe, no queued shard runs for nobody
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
         # either map yields each shard's result in shard order once it is done
-        shard_results = (map(_sweep_shard, args) if pool is None
-                         else pool.map(_sweep_shard, args))
-        for shard_min, rows, shard_measured, text in shard_results:
-            measured += shard_measured
-            if shard_min is not None and (min_card is None
-                                          or shard_min < min_card):
-                min_card = shard_min
-            _file_records(rows, bound_value, equality_sets, violations,
-                          on_record if emitting else None)
-            if text:
-                csv_sink(text)
-    finally:
-        if pool is not None:
-            # after an error, such as a closed output pipe, queued shards
-            # are dropped rather than run for nobody
-            pool.shutdown(cancel_futures=True)
+        measured, min_card, equality_sets, violations = _merge(
+            (map if pool is None else pool.imap)(_sweep_shard, args),
+            space.bound().value, on_record if emitting else None, csv_sink)
     return SweepSummary(space, space.size(), measured, min_card,
                         len(equality_sets), len(violations), equality_sets,
                         violations)
@@ -418,7 +418,8 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
 
     Each trial draws the set's elements without replacement; the sequence
     of draws is fully determined by ``seed``. The draws are measured as
-    one sweep shard whose heads are the drawn sets, so a draw that fails
+    one sweep shard whose heads are the drawn sets, and merged by
+    ``_merge`` as the sweep's shards are, so a draw that fails
     the primitive filter counts as a trial but is not measured. Any
     violation is recorded as a counterexample and must be surfaced by
     callers.
@@ -430,13 +431,10 @@ def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:
     heads = (space.family.fixed
              + tuple(sorted(rng.sample(population, space.free)))
              for _ in range(trials))
-    min_card, rows, measured, _ = _sweep_shard((space, heads, None, False,
-                                                False))
     bound_value = space.bound().value
+    measured, min_card, equality_sets, violations = _merge(
+        [_sweep_shard((space, heads, None, False, False))], bound_value)
     min_slack = None if min_card is None else min_card - bound_value
-    violations: list[SearchRecord] = []
-    equality_sets: list[SearchRecord] = []
-    _file_records(rows, bound_value, equality_sets, violations)
     return ProbeSummary(space, trials, measured, seed, min_slack,
                         len(violations), violations, len(equality_sets),
                         equality_sets)

@@ -250,6 +250,19 @@ def test_every_grid_command_reaches_its_verb(capsys, monkeypatch):
                        "sweep --k 4 --h 3 --max 10 --emit nope"]
 
 
+def test_cli_import_loads_no_process_pool():
+    # every command pays for what the CLI imports; only a sweep's pool
+    # needs the pool's modules, and it loads them when it starts
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = ("import sys, signedsum.cli; print(sorted(set(sys.modules) & "
+             "{'concurrent.futures', 'multiprocessing.pool'}))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 class TestSumsetCommand:
     def test_cardinality_output(self, capsys):
         code, out, _ = run_cli(capsys, "sumset", "--set", "1,3,5,7,9",

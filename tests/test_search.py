@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import os
 import random
 from math import comb, gcd
@@ -575,16 +576,19 @@ class TestBranchAndBound:
         class StubPool:
             """Records the pool size and runs the shards in this process."""
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, processes):
+                sizes.append(processes)
 
-            def map(self, fn, args):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, args):
                 return map(fn, args)
 
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(search, "Pool", StubPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         six = SearchSpace(k=5, h=4, max_element=7, family=Family.POSITIVE)
         three = SearchSpace(k=5, h=4, max_element=6, family=Family.POSITIVE)
@@ -598,3 +602,24 @@ class TestBranchAndBound:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sweep(six, workers=5000).to_dict() == expected[six]
         assert sizes == [4, 3, 3]  # one CPU: no pool at all
+
+    def test_two_worker_sweep_leaves_no_child_process(self, monkeypatch):
+        # two CPUs, so the pool runs on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        space = SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE)
+        seen = []
+        sweep(space, workers=2, emit="all", on_record=seen.append)
+        assert len(seen) == comb(12, 6)
+        assert multiprocessing.active_children() == []
+
+        calls = []
+
+        def fail_on_third(record):
+            calls.append(record)
+            if len(calls) == 3:
+                raise RuntimeError("consumer gone")
+
+        with pytest.raises(RuntimeError, match="consumer gone"):
+            sweep(space, workers=2, emit="all", on_record=fail_on_third)
+        assert calls == seen[:3]
+        assert multiprocessing.active_children() == []
