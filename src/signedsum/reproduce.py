@@ -139,11 +139,12 @@ def theorem11_small() -> list[TargetRow]:
                 equalities = 0
                 # the k-subsets of [1, 12], or {0} plus (k-1)-subsets of [1, 11]
                 m = 11 if zero_in_a else 12
-                for _, card in prefix_cardinalities(family.fixed, h, m, k):
-                    if card < bound:
-                        violations += 1
-                    elif card == bound:
-                        equalities += 1
+                for _, _, counts in prefix_cardinalities(family.fixed, h, m, k):
+                    low = min(counts)
+                    if low < bound:
+                        violations += sum(card < bound for card in counts)
+                    if low <= bound:
+                        equalities += counts.count(bound)
                 branch = "0 in A" if zero_in_a else "0 not in A"
                 rows.append(TargetRow(
                     f"h={h} k={k} ({branch}): no violations and equality attained",

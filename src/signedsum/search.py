@@ -10,7 +10,8 @@ identical for any worker count, including 1, and each shard's records are
 passed on as soon as it and every earlier shard are done. Within a shard
 the engine walks the candidates depth first
 (:func:`~signedsum.engine.prefix_cardinalities`), extending the DP rows of
-each shared prefix once rather than rerunning the DP for every candidate.
+each shared prefix once rather than rerunning the DP for every candidate,
+and yields the siblings below each parent as one run of cardinalities.
 A shard returns plain ``(candidate, cardinality)`` rows, so only ints and
 tuples of ints cross the process boundary, and each record is built once,
 in the parent, by :func:`_merge`, the one place where shipped rows become
@@ -169,37 +170,40 @@ def _csv_columns(cardinality: int, slack: int, equality: bool,
                      "true" if equality else "false", structure.kind.value, d])
 
 
-def _csv_text(rows: list[tuple[tuple[int, ...], int]], bound_value: int) -> str:
-    """The CSV lines of ``(candidate, cardinality)`` rows in walk order, as
-    ``SearchRecord.to_csv_row`` gives them, each ending in a newline.
+def _csv_run(prefix: tuple[int, ...], leaves: list[tuple[int, int]],
+             bound_value: int, unstructured: dict[int, str]) -> str:
+    """The CSV lines of the siblings ``prefix + (a,)`` for the ``(a,
+    cardinality)`` pairs ``leaves``, in order, as ``SearchRecord.to_csv_row``
+    gives them, each ending in a newline.
 
-    Siblings in the walk share every element but the last, so the text of
-    that prefix is formed once per run of siblings. Only an arithmetic
-    progression is classified other than NONE, so only a candidate whose
-    last gap repeats the one before it is classified; the columns of the
-    rest depend on the cardinality alone and are formed once per
-    cardinality. Every candidate of a search space has at least four
+    The text of the shared prefix is formed once. Only an arithmetic
+    progression is classified other than NONE, so a sibling is classified
+    only when the prefix is a progression and the sibling extends it. The
+    columns of the rest depend on the cardinality alone and are formed
+    once per cardinality, into ``unstructured``, which the caller keeps
+    across runs. Every candidate of a search space has at least four
     elements.
     """
+    head = ",".join(map(str, prefix)) + ","
+    step = prefix[1] - prefix[0]
+    # the span rules out most prefixes before their gaps are compared
+    ap_last = (prefix[-1] + step
+               if prefix[-1] - prefix[0] == step * (len(prefix) - 1)
+               and all(y - x == step for x, y in zip(prefix, prefix[1:]))
+               else None)
     lines = []
-    shared = None
-    unstructured: dict[int, str] = {}
-    for candidate, card in rows:
-        prefix, last = candidate[:-1], candidate[-1]
-        if prefix != shared:
-            shared = prefix
-            head = ",".join(map(str, prefix)) + ","
-            ap_last = 2 * prefix[-1] - prefix[-2]
-        if last == ap_last:
+    for a, card in leaves:
+        if a == ap_last:
+            structure = classify_structure(IntegerSet(prefix + (a,)))
             columns = _csv_columns(card, card - bound_value, card == bound_value,
-                                   classify_structure(IntegerSet(candidate)))
+                                   structure)
         else:
             columns = unstructured.get(card)
             if columns is None:
                 columns = unstructured[card] = _csv_columns(
                     card, card - bound_value, card == bound_value,
                     NOT_STRUCTURED)
-        lines.append(f"{head}{last};{columns}\n")
+        lines.append(f"{head}{a};{columns}\n")
     return "".join(lines)
 
 
@@ -247,7 +251,7 @@ def _prune_limit(space: SearchSpace) -> int:
         witness = tuple(range(1, 2 * k, 2))
     else:
         witness = tuple(range(1, k + 1))
-    [(_, card)] = prefix_cardinalities(witness, space.h, m, k)
+    [(_, _, [card])] = prefix_cardinalities(witness, space.h, m, k)
     return max(space.bound().value, card)
 
 
@@ -256,7 +260,9 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
                  ) -> tuple[int | None, list[tuple[tuple[int, ...], int]], int,
                             str]:
     """Walk the candidates below each head of ``heads`` in turn; returns
-    (min_card, rows, measured, csv_text) over them all.
+    (min_card, rows, measured, csv_text) over them all. The walk yields
+    the siblings below each parent as one run, and each run is taken
+    whole: one gcd, one minimum and one CSV prefix for all its sets.
 
     A sweep shard has one head, its key; a probe passes its draws, each a
     whole candidate, whose walk yields just that set's row. A candidate
@@ -275,25 +281,39 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
     space, heads, limit, keep_all, csv = args
     bound_value = space.bound().value
     primitive = space.filter_id == "primitive"
+    every_line = csv and limit is None
     measured = 0
     min_card: int | None = None
     rows: list[tuple[tuple[int, ...], int]] = []
-    emitted: list[tuple[tuple[int, ...], int]] = []
+    text: list[str] = []
+    unstructured: dict[int, str] = {}
     for head in heads:
-        for candidate, card in prefix_cardinalities(
+        for prefix, first, counts in prefix_cardinalities(
                 head, space.h, space.max_element, space.k, limit):
-            if primitive and gcd(*candidate) != 1:
+            leaves = None
+            # a sibling's gcd is gcd(g, a), with g the prefix's
+            if primitive and (g := gcd(*prefix)) != 1:
+                leaves = [(a, card) for a, card in enumerate(counts, first)
+                          if gcd(g, a) == 1]
+                if not leaves:
+                    continue
+                counts = [card for _, card in leaves]
+            measured += len(counts)
+            low = min(counts)
+            if min_card is None or low < min_card:
+                min_card = low
+            if low > bound_value and not (keep_all or every_line):
                 continue
-            measured += 1
-            if min_card is None or card < min_card:
-                min_card = card
-            kept = card <= bound_value
-            if keep_all or kept:
-                rows.append((candidate, card))
-            if csv and (kept or limit is None):
-                emitted.append((candidate, card))
-    return (min_card, rows, measured,
-            _csv_text(emitted, bound_value) if csv else "")
+            if leaves is None:
+                leaves = list(enumerate(counts, first))
+            kept = ([(a, card) for a, card in leaves if card <= bound_value]
+                    if low <= bound_value else [])
+            rows += [(prefix + (a,), card)
+                     for a, card in (leaves if keep_all else kept)]
+            if csv:
+                text.append(_csv_run(prefix, leaves if every_line else kept,
+                                     bound_value, unstructured))
+    return min_card, rows, measured, "".join(text)
 
 
 def _merge(results: Iterable[tuple[int | None, list[tuple[tuple[int, ...],

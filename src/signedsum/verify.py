@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import bounds
 from .bounds import Family
-from .engine import Operator, compute_sumset, sumset_cardinality
+from .engine import (Operator, compute_sumset, prefix_sumset_cardinality,
+                     sumset_cardinality)
 from .sets import (IntegerSet, Record, StructureClass, classify_structure,
                    is_arithmetic_progression, make_set)
 
@@ -152,16 +153,15 @@ def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionRepo
     family = Family.of(a)
     base_bound = family.optimal_bound(h, a.k).value  # checks the window
     threshold = family.prefix_base(h)
-    prefix = a.prefix(h + 1)
-    prefix_card = sumset_cardinality(prefix, h, Operator.RESTRICTED_SIGNED)
+    prefix_card, card = prefix_sumset_cardinality(a, h)
     t = prefix_card - threshold
     applicable = t >= 0
     asserted = base_bound + t if applicable else None
-    card = sumset_cardinality(a, h, Operator.RESTRICTED_SIGNED)
     holds = (asserted <= card) if applicable else None
     return PrefixDecompositionReport(
-        "zero" if family is Family.ZERO_BASED else "positive", a, h, prefix,
-        prefix_card, threshold, t, applicable, asserted, card, holds)
+        "zero" if family is Family.ZERO_BASED else "positive", a, h,
+        a.prefix(h + 1), prefix_card, threshold, t, applicable, asserted,
+        card, holds)
 
 
 def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:

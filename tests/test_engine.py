@@ -9,9 +9,16 @@ from signedsum import (Family, IntegerSet, Operator, SearchSpace, cli,
                        make_set, search, sumset_cardinality)
 from signedsum.engine import (MAX_DP_BITS, _caps, _check_instance, _decode,
                               _guard, _sparse, naive_vector_count,
-                              prefix_cardinalities)
+                              prefix_cardinalities, prefix_sumset_cardinality)
 
 RS = Operator.RESTRICTED_SIGNED
+
+
+def walk(*args):
+    """The ``(candidate, cardinality)`` pairs of the walk's runs, in order."""
+    return [(prefix + (a,), card)
+            for prefix, first, counts in prefix_cardinalities(*args)
+            for a, card in enumerate(counts, first)]
 
 
 class TestRestrictedSigned:
@@ -245,6 +252,90 @@ class TestBackendChoice:
         assert choices and not any(choices)
 
 
+class TestPrefixSumsetCardinality:
+    def test_matches_two_separate_calls_on_both_backends(self):
+        backends = set()
+        for elements in WIDE_SHORT_SETS + [[1, 3, 5, 7, 9, 11],
+                                           [0, 1, 2, 4, 9, 15],
+                                           [-3, 1, 4, 6, 10], [2, 7]]:
+            a = make_set(elements)
+            for h in range(1, a.k):
+                backends.add(_sparse(a.k, h, RS, _check_instance(a, h, RS)))
+                assert prefix_sumset_cardinality(a, h) == (
+                    sumset_cardinality(a.prefix(h + 1), h, RS),
+                    sumset_cardinality(a, h, RS)), (elements, h)
+        assert backends == {False, True}
+
+    def test_matches_naive_oracle_on_small_sets(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            a = make_set(rng.sample(range(-6, 12), rng.randint(2, 7)))
+            for h in range(1, a.k):
+                assert prefix_sumset_cardinality(a, h) == (
+                    compute_sumset_naive(a.prefix(h + 1), h, RS).cardinality,
+                    compute_sumset_naive(a, h, RS).cardinality), (a, h)
+
+    def test_refuses_a_fold_without_its_prefix(self):
+        a = make_set([1, 3, 5, 7, 9])
+        with pytest.raises(ValueError, match="prefix needs"):
+            prefix_sumset_cardinality(a, 5)
+        with pytest.raises(ValueError, match="h exceeds"):
+            prefix_sumset_cardinality(a, 6)
+
+
+class TestPackedWalk:
+    @staticmethod
+    def unpack(state, h, width):
+        return [state >> r * width & (1 << width) - 1 for r in range(h + 1)]
+
+    def chain(self, prefix, h, max_element, k, masked=True):
+        """The packed rows of ``prefix``, each prefix of it formed from the
+        one before by ``_child``, as the walk forms them."""
+        width, _, lower, keep = engine._layout(h, k, max_element)
+        state = engine._pack(engine._rows((), h, False, True, k,
+                                          1 << h * max_element), width)
+        for j, a in enumerate(prefix, 1):
+            src = state & lower if masked else state
+            state = engine._child(state, src, a, width, keep[j])
+        return state
+
+    def test_packed_rows_match_rows_at_every_depth(self):
+        # every increasing prefix of [0, M] up to k elements, those that
+        # end at M included, though the walk never extends them
+        checked = 0
+        for zero_based in (False, True):
+            fixed = (0,) if zero_based else ()
+            for k in range(4, 7):
+                free = k - len(fixed)
+                for max_element in (free, free + 3):
+                    for h in range(1, k + 1):
+                        width = engine._layout(h, k, max_element)[0]
+                        seed = 1 << h * max_element
+                        for size in range(1, free + 1):
+                            for rest in itertools.combinations(
+                                    range(1, max_element + 1), size):
+                                prefix = fixed + rest
+                                state = self.chain(prefix, h, max_element,
+                                                   k)
+                                assert self.unpack(state, h, width) == (
+                                    engine._rows(prefix, h, False, True, k,
+                                                 seed)), (prefix, h, k)
+                                checked += 1
+        assert checked > 7_000
+
+    def test_row_h_does_not_bleed_into_itself(self):
+        a = (11, 14, 15, 16, 17, 18)
+        assert compute_sumset_naive(IntegerSet(a), 4, RS).cardinality == 81
+        width = engine._layout(4, 6, 18)[0]
+        last = self.chain(a, 4, 18, 6)
+        assert self.unpack(last, 4, width)[4].bit_count() == 81
+        # moving row h too puts sums of weight 5 into row h's top bits
+        unmasked = self.chain(a, 4, 18, 6, masked=False)
+        assert self.unpack(unmasked, 4, width)[4].bit_count() > 81
+        # the walk forms the prefixes of a below the head packed
+        assert dict(walk((11, 14), 4, 18, 6))[a] == 81
+
+
 class TestPrefixWalk:
     @staticmethod
     def heads(max_element, k, zero_based):
@@ -260,8 +351,8 @@ class TestPrefixWalk:
                 for max_element in (free, free + 1, free + 4):
                     for h in range(1, k + 1):
                         for head in self.heads(max_element, k, zero_based):
-                            walked = list(prefix_cardinalities(
-                                head, h, max_element, k))
+                            walked = walk(
+                                head, h, max_element, k)
                             tails = itertools.combinations(
                                 range(head[-1] + 1, max_element + 1),
                                 k - len(head))
@@ -273,7 +364,7 @@ class TestPrefixWalk:
 
     def test_head_may_be_short_or_whole(self):
         for head in ((), (3,), (0, 2, 5, 6)):
-            walked = list(prefix_cardinalities(head, 3, 9, 4))
+            walked = walk(head, 3, 9, 4)
             # an empty head starts the walk at 1
             tails = itertools.combinations(
                 range(head[-1] + 1 if head else 1, 10), 4 - len(head))
@@ -292,12 +383,12 @@ class TestPrefixWalk:
                         heads = [(0,) if zero_based else ()]
                         heads += self.heads(max_element, k, zero_based)
                         for head in heads:
-                            full = list(prefix_cardinalities(
-                                head, h, max_element, k))
+                            full = walk(
+                                head, h, max_element, k)
                             cards = sorted(card for _, card in full)
                             for limit in {0, cards[0], cards[len(cards) // 2],
                                           cards[-1] - 1}:
-                                walked = iter(prefix_cardinalities(
+                                walked = iter(walk(
                                     head, h, max_element, k, limit))
                                 kept = next(walked, None)
                                 for row in full:
@@ -388,8 +479,8 @@ class TestPrefixWalk:
         assert _caps(4, 5, 32) == ((), (), (), (), ((3, 31),), ())
         assert not any(_caps(4, 5, 33))
         for head in ((), (0,)):
-            assert (list(prefix_cardinalities(head, 4, 14, 5, 33))
-                    == list(prefix_cardinalities(head, 4, 14, 5)))
+            assert (walk(head, 4, 14, 5, 33)
+                    == walk(head, 4, 14, 5))
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("k", [4, 5, 6])
@@ -414,22 +505,52 @@ class TestPrefixWalk:
                 base = search._prune_limit(SearchSpace(
                     k=k, h=h, max_element=max_element, family=family))
             except ValueError:  # outside the family's window: a mid limit
-                cards = sorted(c for _, c in prefix_cardinalities(
+                cards = sorted(c for _, c in walk(
                     fixed, h, max_element, k))
                 base = cards[len(cards) // 2]
             for limit in (base, base - 3, 0):
                 caps = _caps(h, k, limit)
                 for head in [fixed, *self.heads(max_element, k, bool(fixed))]:
-                    full = list(prefix_cardinalities(head, h, max_element, k))
+                    full = walk(head, h, max_element, k)
                     expected = [
                         (c, card) for c, card in full
                         if not any(exceeds(c[:j], caps)
                                    for j in range(len(head) + 1, k))]
-                    walked = list(prefix_cardinalities(head, h, max_element,
-                                                       k, limit))
+                    walked = walk(head, h, max_element, k, limit)
                     assert walked == expected, (head, h, limit)
                     pruned += len(full) - len(walked)
         assert pruned > 0
+
+    @pytest.mark.parametrize("family, k, h, max_element", [
+        (Family.POSITIVE, 8, 6, 26), (Family.ZERO_BASED, 8, 6, 24)])
+    def test_sampled_pruned_prefixes_complete_above_the_limit(
+            self, family, k, h, max_element):
+        # descend at random until the cap table prunes a prefix, as the
+        # walk would, then complete that prefix at random several times
+        limit = search._prune_limit(SearchSpace(
+            k=k, h=h, max_element=max_element, family=family))
+        caps = _caps(h, k, limit)
+        rng = random.Random(8026)
+        seed = 1 << h * max_element
+        pruned = {}
+        for _ in range(1000):
+            prefix = family.fixed
+            for j in range(len(prefix) + 1, k):
+                top = max_element - (k - j)
+                prefix += (rng.randint(prefix[-1] + 1 if prefix else 1, top),)
+                rows = engine._rows(prefix, h, False, True, k, seed)
+                if any(rows[r].bit_count() > cap for r, cap in caps[j]):
+                    break
+            else:
+                continue
+            pruned[j] = pruned.get(j, 0) + 1
+            for _ in range(8):
+                tail = rng.sample(range(prefix[-1] + 1, max_element + 1),
+                                  k - j)
+                a = IntegerSet(prefix + tuple(sorted(tail)))
+                assert compute_sumset(a, h, RS).cardinality > limit, a
+        # most descents are pruned, at more than one depth
+        assert len(pruned) > 1 and sum(pruned.values()) > 900, pruned
 
     def test_guards(self):
         with pytest.raises(ValueError, match="positive"):

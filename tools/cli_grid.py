@@ -10,7 +10,7 @@ in this one process, and each prints one JSON line: its argv, exit code,
 stdout and stderr. Run the grid on two checkouts and ``diff`` the two
 outputs: identical lines mean byte-identical behaviour on every command.
 
-The grid's 1,224 commands cover every verb: each checker on sixteen sets
+The grid's 1,225 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
 k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
 reach the checkers (whose hypotheses refuse them) and the sumset
@@ -20,7 +20,7 @@ catalogue; sweeps of both families over every h, every emit mode, CSV on
 stdout, JSON, two worker counts (each with CSV in every emit mode that
 writes it), primitive counts past the dilates by 2, spaces wide enough
 for the walk's floors to prune, and the budget, window and DP-size
-refusals; seeded probes; every reproduce target; and
+refusals; seeded probes, one over [1, 10^6]; every reproduce target; and
 usage errors. No command writes a file, and none is large enough to
 allocate much or run long on older checkouts.
 """
@@ -122,6 +122,8 @@ def commands() -> list[str]:
             ("", " --json")):
         grid.append(f"probe --k {k} --h {h} --max 30 --family {family} "
                     f"--trials 50 --seed {seed}{fmt}")
+    # draws near 10^6: each is a whole walk head of wide rows
+    grid.append("probe --k 5 --h 4 --max 1000000 --trials 20 --seed 3 --json")
     grid.append("probe --k 5 --h 3 --max 30 --trials 0 --seed 1")
     grid.append("probe --k 7 --h 2 --max 20 --trials 5 --seed 1")
 
