@@ -7,7 +7,10 @@ violations (each one a counterexample). Work is partitioned into shards by
 the two smallest free elements, so shards are small and even, run in
 parallel and merge in a fixed order; summaries and the record stream are
 identical for any worker count, including 1, and each shard's records are
-passed on as soon as it and every earlier shard are done. Within a shard
+passed on as soon as it and every earlier shard are done. Each of ``W``
+worker processes has its own pipe, over which the parent sends it the
+next shard's index whenever it is free and reads back that shard's
+result; a worker that dies makes the sweep raise. Within a shard
 the engine walks the candidates depth first
 (:func:`~signedsum.engine.prefix_cardinalities`), extending the DP rows of
 each shared prefix once rather than rerunning the DP for every candidate,
@@ -33,11 +36,11 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from typing import Callable, Iterable, Iterator
 
 from .bounds import BoundFormula, Family
@@ -171,20 +174,22 @@ def _csv_columns(cardinality: int, slack: int, equality: bool,
 
 
 def _csv_run(prefix: tuple[int, ...], leaves: list[tuple[int, int]],
-             bound_value: int, unstructured: dict[int, str]) -> str:
+             bound_value: int, unstructured: dict[int, str],
+             names: list[str]) -> str:
     """The CSV lines of the siblings ``prefix + (a,)`` for the ``(a,
     cardinality)`` pairs ``leaves``, in order, as ``SearchRecord.to_csv_row``
     gives them, each ending in a newline.
 
-    The text of the shared prefix is formed once. Only an arithmetic
-    progression is classified other than NONE, so a sibling is classified
-    only when the prefix is a progression and the sibling extends it. The
-    columns of the rest depend on the cardinality alone and are formed
-    once per cardinality, into ``unstructured``, which the caller keeps
-    across runs. Every candidate of a search space has at least four
-    elements.
+    The text of the shared prefix is formed once, and each element's text
+    is looked up in ``names``, where ``names[x]`` is ``str(x)``. Only an
+    arithmetic progression is classified other than NONE, so a sibling is
+    classified only when the prefix is a progression and the sibling
+    extends it. The columns of the rest depend on the cardinality alone
+    and are formed once per cardinality, into ``unstructured``, which the
+    caller keeps across runs. Every candidate of a search space has at
+    least four elements.
     """
-    head = ",".join(map(str, prefix)) + ","
+    head = ",".join([names[x] for x in prefix]) + ","
     step = prefix[1] - prefix[0]
     # the span rules out most prefixes before their gaps are compared
     ap_last = (prefix[-1] + step
@@ -203,7 +208,7 @@ def _csv_run(prefix: tuple[int, ...], leaves: list[tuple[int, int]],
                 columns = unstructured[card] = _csv_columns(
                     card, card - bound_value, card == bound_value,
                     NOT_STRUCTURED)
-        lines.append(f"{head}{a};{columns}\n")
+        lines.append(f"{head}{names[a]};{columns}\n")
     return "".join(lines)
 
 
@@ -287,6 +292,7 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
     rows: list[tuple[tuple[int, ...], int]] = []
     text: list[str] = []
     unstructured: dict[int, str] = {}
+    names = [str(x) for x in range(space.max_element + 1)] if csv else []
     for head in heads:
         for prefix, first, counts in prefix_cardinalities(
                 head, space.h, space.max_element, space.k, limit):
@@ -312,7 +318,7 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
                      for a, card in (leaves if keep_all else kept)]
             if csv:
                 text.append(_csv_run(prefix, leaves if every_line else kept,
-                                     bound_value, unstructured))
+                                     bound_value, unstructured, names))
     return min_card, rows, measured, "".join(text)
 
 
@@ -352,6 +358,81 @@ def _merge(results: Iterable[tuple[int | None, list[tuple[tuple[int, ...],
     return measured, min_card, equality_sets, violations
 
 
+def _serve(args: list, conn) -> None:
+    """Sweep worker: for each shard index ``i`` that comes in on ``conn``,
+    send back ``(result, None)`` for shard ``args[i]``, or ``(exception,
+    traceback)`` if it raised."""
+    while True:
+        i = conn.recv()
+        try:
+            conn.send((_sweep_shard(args[i]), None))
+        except Exception as exc:
+            import traceback  # every command would pay for it at import
+            conn.send((exc, traceback.format_exc()))
+
+
+def _parallel(args: list, workers: int) -> Iterator:
+    """Yield ``_sweep_shard`` of each of ``args`` in order, run by
+    ``workers`` processes, each sent the next shard's index whenever it is
+    free.
+
+    Results that come in early wait here for the in-order merge, and no
+    shard is sent more than ``8 * workers`` past the first one not yet
+    yielded, which bounds what waits. Shards that share a smallest element
+    shrink from the first on, and with a narrower window the large first
+    shard of each such group would wait for the previous group's.
+    A shard's exception is raised here, from a ``RuntimeError`` that holds
+    the worker's traceback, and a worker that exits before it has sent its
+    shard raises a ``RuntimeError`` naming the shard and the exit code.
+    Closing the generator terminates and joins every worker.
+    """
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            conn, end = Pipe()
+            proc = Process(target=_serve, args=(args, end), daemon=True)
+            proc.start()
+            # else a dead worker's pipe never reaches end of file
+            end.close()
+            procs.append(proc)
+            conns.append(conn)
+        from multiprocessing.connection import wait  # loaded by Pipe()
+        idle, running, done = conns[::-1], {}, {}
+        sent, window = 0, 8 * workers
+        for i in range(len(args)):
+            while i not in done:
+                while idle and sent < min(len(args), i + window):
+                    conn = idle.pop()
+                    try:
+                        conn.send(sent)
+                    except OSError:  # dead: its end of file is read below
+                        pass
+                    running[conn] = sent
+                    sent += 1
+                for conn in wait(list(running)):
+                    j, w = running.pop(conn), conns.index(conn)
+                    try:
+                        result, failure = conn.recv()
+                    except (EOFError, OSError):
+                        procs[w].join()
+                        raise RuntimeError(
+                            f"sweep worker {w} exited with code "
+                            f"{procs[w].exitcode} before it sent shard {j}, "
+                            f"head {args[j][1][0]}") from None
+                    if failure is not None:
+                        raise result from RuntimeError(
+                            f"in sweep worker {w}, shard {j}:\n{failure}")
+                    done[j] = result
+                    idle.append(conn)
+            yield done.pop(i)
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
 def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
           emit: str = "interesting",
           on_record: Callable[[SearchRecord], None] | None = None,
@@ -369,14 +450,16 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     prunes each subtree whose sets must all exceed ``_prune_limit``: none
     of them could be an emitted record or the minimum, and ``visited``
     counts them with the rest, as ``space.size()``. With ``workers > 1``
-    shards run in separate processes, at most one per shard and per CPU.
+    shards run in ``W`` worker processes, at most one per shard and per
+    CPU, each sent the next shard whenever it is free (``_parallel``).
     Either way a shard returns only ``(candidate, cardinality)`` rows and
     its CSV text, and ``_merge`` builds each record once, in this process,
     as it merges the shards in shard order, so results, callback order and
     CSV do not depend on the worker count. A shard is merged, and its
     records and CSV passed on, as soon as it and every earlier shard are
-    done, so nothing is held until the whole sweep ends. The pool's
-    workers are terminated when the sweep returns or raises.
+    done, so nothing is held until the whole sweep ends. The workers are
+    terminated when the sweep returns or raises, and a worker that dies
+    before it has sent a shard makes the sweep raise ``RuntimeError``.
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
@@ -391,13 +474,14 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     args = [(space, (key,), limit, keep_all, csv)
             for key in space.shard_keys()]
     workers = min(workers, len(args), os.cpu_count() or 1)
-    # leaving the block terminates the pool, so after an error, such as a
-    # closed output pipe, no queued shard runs for nobody
-    with Pool(workers) if workers > 1 else nullcontext() as pool:
-        # either map yields each shard's result in shard order once it is done
+    # leaving the block closes the runner and so ends its workers, so after
+    # an error, such as a closed output pipe, no shard runs for nobody;
+    # either way each shard's result comes in shard order once it is done
+    with (closing(_parallel(args, workers)) if workers > 1
+          else nullcontext(map(_sweep_shard, args))) as results:
         measured, min_card, equality_sets, violations = _merge(
-            (map if pool is None else pool.imap)(_sweep_shard, args),
-            space.bound().value, on_record if emitting else None, csv_sink)
+            results, space.bound().value, on_record if emitting else None,
+            csv_sink)
     return SweepSummary(space, space.size(), measured, min_card,
                         len(equality_sets), len(violations), equality_sets,
                         violations)

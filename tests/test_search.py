@@ -4,7 +4,11 @@ import json
 import multiprocessing
 import os
 import random
+import re
+import subprocess
+import sys
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from signedsum import (Family, IntegerSet, Operator, SearchSpace,
 from signedsum.engine import admit_walk, prefix_cardinalities
 from signedsum.search import (CSV_HEADER, EMIT_MODES, FILTER_IDS, ProbeSummary,
                               SearchRecord)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def space_h4_positive(max_element=20):
@@ -432,9 +438,14 @@ class TestPrefixSharedSweep:
 
 
 class TestCsvSink:
+    # 36 shards each, and 28 at the smaller M, which three workers do not
+    # divide
     @pytest.mark.parametrize("family, max_element", [
-        (Family.POSITIVE, 12), (Family.ZERO_BASED, 11)])
-    def test_shard_csv_is_the_records_csv(self, family, max_element):
+        (Family.POSITIVE, 12), (Family.ZERO_BASED, 11),
+        (Family.POSITIVE, 11), (Family.ZERO_BASED, 10)])
+    def test_shard_csv_is_the_records_csv(self, family, max_element,
+                                          monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 workers anywhere
         kinds = set()
         for filter_id, emit in itertools.product(FILTER_IDS, EMIT_MODES):
             space = SearchSpace(k=5, h=4, max_element=max_element,
@@ -442,7 +453,7 @@ class TestCsvSink:
             records = []
             summary = sweep(space, emit=emit, on_record=records.append)
             expected = "".join(r.to_csv_row() + "\n" for r in records)
-            for workers in (1, 2):
+            for workers in (1, 2, 3):
                 blocks = []
                 assert sweep(space, workers=workers, emit=emit,
                              csv_sink=blocks.append).to_dict() == \
@@ -573,22 +584,12 @@ class TestBranchAndBound:
     def test_pool_is_capped_by_shards_and_cpus(self, monkeypatch):
         sizes = []
 
-        class StubPool:
-            """Records the pool size and runs the shards in this process."""
+        def stub_parallel(args, workers):
+            """Records the worker count and runs the shards in this process."""
+            sizes.append(workers)
+            yield from map(search._sweep_shard, args)
 
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, args):
-                return map(fn, args)
-
-        monkeypatch.setattr(search, "Pool", StubPool)
+        monkeypatch.setattr(search, "_parallel", stub_parallel)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         six = SearchSpace(k=5, h=4, max_element=7, family=Family.POSITIVE)
         three = SearchSpace(k=5, h=4, max_element=6, family=Family.POSITIVE)
@@ -601,10 +602,10 @@ class TestBranchAndBound:
         assert sizes == [4, 3, 3]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sweep(six, workers=5000).to_dict() == expected[six]
-        assert sizes == [4, 3, 3]  # one CPU: no pool at all
+        assert sizes == [4, 3, 3]  # one CPU: no worker process at all
 
     def test_two_worker_sweep_leaves_no_child_process(self, monkeypatch):
-        # two CPUs, so the pool runs on any host
+        # two CPUs, so the workers run on any host
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         space = SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE)
         seen = []
@@ -622,4 +623,88 @@ class TestBranchAndBound:
         with pytest.raises(RuntimeError, match="consumer gone"):
             sweep(space, workers=2, emit="all", on_record=fail_on_third)
         assert calls == seen[:3]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stub shard reaches the workers by fork")
+    def test_a_workers_shard_error_is_raised_here(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        shard = search._sweep_shard
+
+        def failing(args):
+            if args[1][0] == (2, 4):
+                raise ValueError("shard (2, 4) failed")
+            return shard(args)
+
+        monkeypatch.setattr(search, "_sweep_shard", failing)
+        space = SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE)
+        with pytest.raises(ValueError, match=r"shard \(2, 4\) failed") as err:
+            sweep(space, workers=2, emit="all", csv_sink=len)
+        cause = err.value.__cause__  # the worker's frames
+        assert isinstance(cause, RuntimeError)
+        assert re.match(r"in sweep worker [01], shard 8:\nTraceback",
+                        str(cause))
+        assert "in failing" in str(cause)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stub shard reaches the workers by fork")
+    def test_dead_worker_raises_and_leaves_no_child_process(self):
+        # a worker that exits mid-sweep once hung the sweep; the child
+        # interpreter's timeout turns such a hang into a failure
+        script = """if True:
+            import multiprocessing, os
+            from signedsum import Family, SearchSpace, search, sweep
+            shard, parent = search._sweep_shard, os.getpid()
+
+            def dying(args):
+                if os.getpid() != parent and args[1][0] == (1, 5):
+                    os._exit(7)
+                return shard(args)
+
+            search._sweep_shard = dying
+            os.cpu_count = lambda: 2
+            space = SearchSpace(k=6, h=4, max_element=12,
+                                family=Family.POSITIVE)
+            try:
+                sweep(space, workers=2, emit="all", csv_sink=len)
+            except RuntimeError as exc:
+                print(exc)
+            print(multiprocessing.active_children())
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        # shard 3, head (1, 5), goes to whichever worker is free first
+        assert (done.returncode, done.stderr) == (0, "")
+        assert re.fullmatch(r"sweep worker [01] exited with code 7 before it "
+                            r"sent shard 3, head \(1, 5\)\n\[\]\n",
+                            done.stdout)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stub shard reaches the workers by fork")
+    def test_a_long_shard_holds_up_no_other(self, monkeypatch):
+        # shard 0 runs until shard 5 has run. Were worker w to run shards
+        # w, w+2, ... in turn, worker 1 would wait to send shard 1's large
+        # result until shard 0 was read, and never reach shard 5
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        space = SearchSpace(k=5, h=4, max_element=7, family=Family.POSITIVE)
+        keys = space.shard_keys()
+        assert len(keys) == 6
+        ran = multiprocessing.Event()
+
+        def stub(args):
+            if args[1][0] == keys[0] and not ran.wait(20):
+                raise TimeoutError("shard 5 did not run beside shard 0")
+            if args[1][0] == keys[5]:
+                ran.set()
+            return None, [], 0, f"{args[1][0]}\n" + "x" * 2**20
+
+        monkeypatch.setattr(search, "_sweep_shard", stub)
+        blocks = []
+        sweep(space, workers=2, emit="all", csv_sink=blocks.append)
+        assert [b.split("\n")[0] for b in blocks] == [str(k) for k in keys]
         assert multiprocessing.active_children() == []

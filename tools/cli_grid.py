@@ -10,7 +10,7 @@ in this one process, and each prints one JSON line: its argv, exit code,
 stdout and stderr. Run the grid on two checkouts and ``diff`` the two
 outputs: identical lines mean byte-identical behaviour on every command.
 
-The grid's 1,225 commands cover every verb: each checker on sixteen sets
+The grid's 1,226 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
 k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
 reach the checkers (whose hypotheses refuse them) and the sumset
@@ -18,11 +18,12 @@ operators; a few elements near 10^6 (the set-based DP's
 inputs) under every operator and through the checkers; the bound
 catalogue; sweeps of both families over every h, every emit mode, CSV on
 stdout, JSON, two worker counts (each with CSV in every emit mode that
-writes it), primitive counts past the dilates by 2, spaces wide enough
-for the walk's floors to prune, and the budget, window and DP-size
-refusals; seeded probes, one over [1, 10^6]; every reproduce target; and
-usage errors. No command writes a file, and none is large enough to
-allocate much or run long on older checkouts.
+writes it), three workers over 55 shards, primitive counts past the
+dilates by 2, spaces wide enough for the walk's floors to prune, and the
+budget, window and DP-size refusals; seeded probes, one over [1, 10^6];
+every reproduce target; and usage errors. No command writes a file,
+and none is large enough to allocate much or run long on older
+checkouts.
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ def commands() -> list[str]:
         # wide enough that the Minkowski floor prunes below depth h
         grid.append(f"sweep --k 6 --h 5 --max 30 --family {family} "
                     f"--threads 1 --json")
+    # 55 shards, a count that three workers do not divide
+    grid.append("sweep --k 6 --h 4 --max 14 --family zero-based --threads 3 "
+                "--emit all --csv -")
     grid.append("sweep --k 4 --h 3 --max 30 --threads 1 --primitive-only")
     grid += [
         "sweep --k 5 --h 4 --max 20 --threads 1 --budget 100",
