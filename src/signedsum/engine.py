@@ -15,7 +15,10 @@ one of two ways. The bitset backend holds a row as a dense bitmap in a
 Python int, so a transition is one shift-or and the cost is the set's
 width. The set-based backend holds it as a frozenset of sums, and its
 cost is the number of sums, at most C(k, w) * 2^w in a restricted signed
-row of weight w: far less for a few elements near 10^6. One row loop,
+row of weight w: far less for a few elements near 10^6. A signed row is
+symmetric about 0, as flipping every lambda_i keeps the weight, so this
+backend holds it as its non-negative half (``_shift``), and its readers
+mirror the half or count 2|H| - [0 in H] sums. One row loop,
 ``_rows``, serves both, and builds the rows of every sumset and of the
 head of every sweep walk (``prefix_cardinalities``, and so
 ``random_probe``). It drops each row that the elements still to come
@@ -31,9 +34,9 @@ admissible-vector count cached per (k, h, op). The set-based DP is taken
 when ``SPARSE_WEIGHT`` (3,000, measured, see its comment) times that
 bound is below the bitset's bits. The range guard runs first and still
 sizes every instance by its bitmap, so the same inputs are refused
-whichever backend would run. ``prefix_sumset_cardinality`` reads row h
-of a prefix on the way through the same pass, so a set and its prefix
-cost one DP.
+whichever backend would run. ``prefix_sumsets`` reads row h of a prefix
+on the way through the same pass, so a set and its prefix cost one DP,
+for their sizes or for their sums.
 
 Sweeps use the bitset backend alone. The walk extends each shared
 prefix's rows once instead of rerunning the DP for every candidate, and
@@ -162,11 +165,20 @@ def _move(row: int, delta: int, signed: bool) -> int:
 
 
 def _shift(row: frozenset[int], delta: int, signed: bool) -> set[int]:
-    """``_move`` for a row held as a set of sums."""
-    moved = {x + delta for x in row}
+    """``_move`` for a row held as a set of sums.
+
+    A signed row R is symmetric, R = -R, so it is held as its non-negative
+    half H. With d = |delta|, the half of (R + d) | (R - d) is
+    {x + d} | {|x - d|} over x in H: a sum r + d or r - d >= 0 of a
+    negative r is d - |r| = |(-r) - d|. So each sum of H is moved once
+    each way, where R would need 2|R| sums.
+    """
     if signed:
-        moved.update([x - delta for x in row])
-    return moved
+        delta = abs(delta)
+        moved = {x + delta for x in row}
+        moved.update([abs(x - delta) for x in row])
+        return moved
+    return {x + delta for x in row}
 
 
 def _step(dp: list, a: int, multi: bool, signed: bool, lo: int,
@@ -222,9 +234,22 @@ def _achievable(elements: tuple[int, ...], h: int, op: Operator,
 
 
 def _sums(elements: tuple[int, ...], h: int, op: Operator) -> frozenset[int]:
-    """The set of sums with total weight exactly h: the set-based DP."""
+    """The set of sums with total weight exactly h: the set-based DP. Under
+    a signed operator it holds only the sums >= 0 (see ``_shift``)."""
     return _rows(elements, h, not op.restricted, op.signed, len(elements),
                  frozenset((0,)), _shift)[h]
+
+
+def _sorted_sums(row: frozenset[int], signed: bool) -> list[int]:
+    """The sums of a set-based row, ascending; a signed half row mirrored."""
+    half = sorted(row)
+    return [-x for x in reversed(half) if x] + half if signed else half
+
+
+def _size(row: frozenset[int], signed: bool) -> int:
+    """How many sums a set-based row holds: 2|H| - [0 in H] for a signed
+    half row H."""
+    return 2 * len(row) - (0 in row) if signed else len(row)
 
 
 def _decode(bitmap: int, half_width: int) -> list[int]:
@@ -250,6 +275,11 @@ def _sparse_cost(k: int, h: int, op: Operator) -> int:
     signed. Counting stops once it passes ``k * MAX_DP_BITS //
     SPARSE_WEIGHT``: the guard admits no bitmap wide enough for the
     set-based DP to win beyond that.
+
+    A signed row is held as its non-negative half (``_shift``), which
+    forms about half the sums counted here, so for the signed operators
+    the bound is about twice loose. It is kept so: ``SPARSE_WEIGHT`` was
+    measured against this count, and the backend choice stays as it was.
     """
     cap = k * MAX_DP_BITS // SPARSE_WEIGHT
     signs = 2 if op.signed else 1
@@ -274,7 +304,8 @@ def compute_sumset(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
     """The exact sumset of A under ``op`` at fold ``h``, by the cheaper DP."""
     half_width = _check_instance(a, h, op)
     if _sparse(a.k, h, op, half_width):
-        return SumsetResult.from_sorted(sorted(_sums(a.elements, h, op)))
+        return SumsetResult.from_sorted(
+            _sorted_sums(_sums(a.elements, h, op), op.signed))
     bitmap = _achievable(a.elements, h, op, half_width)
     return SumsetResult.from_sorted(_decode(bitmap, half_width))
 
@@ -283,33 +314,42 @@ def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
     """|sumset| without materializing the sums; the checkers' call."""
     half_width = _check_instance(a, h, op)
     if _sparse(a.k, h, op, half_width):
-        return len(_sums(a.elements, h, op))
+        return _size(_sums(a.elements, h, op), op.signed)
     return _achievable(a.elements, h, op, half_width).bit_count()
 
 
-def prefix_sumset_cardinality(a: IntegerSet, h: int) -> tuple[int, int]:
-    """The sizes of the restricted signed sumsets of A's h + 1 smallest
-    elements and of A, from one DP pass on the backend
-    ``sumset_cardinality`` takes for A.
+def prefix_sumsets(a: IntegerSet, h: int, sums: bool = False
+                   ) -> tuple[int, int] | tuple[frozenset[int], frozenset[int]]:
+    """The restricted signed sumsets of A's h + 1 smallest elements and of
+    A, from one DP pass on the backend ``sumset_cardinality`` takes for A:
+    their sizes, or with ``sums`` the sumsets themselves, unsorted.
 
-    The pass reads row h after h + 1 elements and goes on. That row is the
+    The pass keeps row h after h + 1 elements and goes on. That row is the
     prefix's sumset: the rows dropped before then are those the elements
     up to the last could not lift to weight h, so none of them reaches row
-    h after h + 1. With k = h + 1 both sizes come from the same rows.
+    h after h + 1. On the bitset backend it sits at A's offset, so it is
+    decoded with A's half-width. With k = h + 1 both come from the same
+    rows.
     """
     op = Operator.RESTRICTED_SIGNED
     half_width = _check_instance(a, h, op)
     if a.k == h:
         raise ValueError("the prefix needs h + 1 elements")
-    if _sparse(a.k, h, op, half_width):
-        seed, move, size = frozenset((0,)), _shift, len
+    sparse = _sparse(a.k, h, op, half_width)
+    if sparse:
+        seed, move = frozenset((0,)), _shift
     else:
-        seed, move, size = 1 << half_width, _move, int.bit_count
+        seed, move = 1 << half_width, _move
     dp = _rows(a.elements[:h + 1], h, False, True, a.k, seed, move)
-    head = size(dp[h])
+    head = dp[h]
     dp = _rows(a.elements[h + 1:], h, False, True, a.k - h - 1, seed, move,
                dp)
-    return head, size(dp[h])
+
+    def read(row):
+        if sparse:
+            return row | {-x for x in row} if sums else _size(row, True)
+        return frozenset(_decode(row, half_width)) if sums else row.bit_count()
+    return read(head), read(dp[h])
 
 
 def admit_walk(h: int, k: int, max_element: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import bounds
 from .bounds import Family
-from .engine import (Operator, compute_sumset, prefix_sumset_cardinality,
+from .engine import (Operator, compute_sumset, prefix_sumsets,
                      sumset_cardinality)
 from .sets import (IntegerSet, Record, StructureClass, classify_structure,
                    is_arithmetic_progression, make_set)
@@ -153,7 +153,7 @@ def check_prefix_decomposition(a: IntegerSet, h: int) -> PrefixDecompositionRepo
     family = Family.of(a)
     base_bound = family.optimal_bound(h, a.k).value  # checks the window
     threshold = family.prefix_base(h)
-    prefix_card, card = prefix_sumset_cardinality(a, h)
+    prefix_card, card = prefix_sumsets(a, h)
     t = prefix_card - threshold
     applicable = t >= 0
     asserted = base_bound + t if applicable else None
@@ -180,20 +180,20 @@ def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
     prefix = a.prefix(h + 1)
     tail = a.without_min()  # A' = A minus its least element
 
-    # one DP per set: (d) compares these sumsets, and their sizes are reused
-    full = compute_sumset(a, h, Operator.RESTRICTED_SIGNED)
-    head = compute_sumset(prefix, h, Operator.RESTRICTED_SIGNED)
+    # one DP pass for A and its prefix, whose sumsets (d) compares, and
+    # one DP for the tail
+    head, full = prefix_sumsets(a, h, sums=True)
     tail_restricted = set(compute_sumset(tail, h, Operator.RESTRICTED).sums)
-    equality = full.cardinality == family.optimal_bound(h, k).value
-    surplus = head.cardinality >= family.prefix_base(h)
-    union = tail_restricted | {-x for x in tail_restricted} | set(head.sums)
+    equality = len(full) == family.optimal_bound(h, k).value
+    surplus = len(head) >= family.prefix_base(h)
+    union = tail_restricted | {-x for x in tail_restricted} | head
     tail_is_ap = is_arithmetic_progression(tail)
 
     applicable = {
         "a": is_arithmetic_progression(a),
         "b": is_arithmetic_progression(prefix),
         "c": surplus and 4 <= h <= k - 3,
-        "d": set(full.sums) == union and tail_is_ap,
+        "d": full == union and tail_is_ap,
         "e": surplus and tail_is_ap,
     }
     conclusion = classify_structure(a).kind is family.extremal

@@ -9,7 +9,7 @@ from signedsum import (Family, IntegerSet, Operator, SearchSpace, cli,
                        make_set, search, sumset_cardinality)
 from signedsum.engine import (MAX_DP_BITS, _caps, _check_instance, _decode,
                               _guard, _sparse, naive_vector_count,
-                              prefix_cardinalities, prefix_sumset_cardinality)
+                              prefix_cardinalities, prefix_sumsets)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -261,7 +261,7 @@ class TestPrefixSumsetCardinality:
             a = make_set(elements)
             for h in range(1, a.k):
                 backends.add(_sparse(a.k, h, RS, _check_instance(a, h, RS)))
-                assert prefix_sumset_cardinality(a, h) == (
+                assert prefix_sumsets(a, h) == (
                     sumset_cardinality(a.prefix(h + 1), h, RS),
                     sumset_cardinality(a, h, RS)), (elements, h)
         assert backends == {False, True}
@@ -271,16 +271,16 @@ class TestPrefixSumsetCardinality:
         for _ in range(200):
             a = make_set(rng.sample(range(-6, 12), rng.randint(2, 7)))
             for h in range(1, a.k):
-                assert prefix_sumset_cardinality(a, h) == (
+                assert prefix_sumsets(a, h) == (
                     compute_sumset_naive(a.prefix(h + 1), h, RS).cardinality,
                     compute_sumset_naive(a, h, RS).cardinality), (a, h)
 
     def test_refuses_a_fold_without_its_prefix(self):
         a = make_set([1, 3, 5, 7, 9])
         with pytest.raises(ValueError, match="prefix needs"):
-            prefix_sumset_cardinality(a, 5)
+            prefix_sumsets(a, 5)
         with pytest.raises(ValueError, match="h exceeds"):
-            prefix_sumset_cardinality(a, 6)
+            prefix_sumsets(a, 6)
 
 
 class TestPackedWalk:

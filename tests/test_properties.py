@@ -1,12 +1,12 @@
 """Property-based tests for the structural invariants of the engine."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from signedsum import (Operator, StructureKind, classify_structure,
                        compute_sumset, compute_sumset_naive, dilate, gaps,
                        make_set)
 from signedsum.engine import (_achievable, _check_instance, _decode, _rows,
-                              _shift, _sums)
+                              _shift, _size, _sorted_sums, _sums)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -61,17 +61,50 @@ def test_fast_path_matches_naive_oracle(pair, op):
        st.sampled_from(list(Operator)), st.data())
 def test_set_based_rows_match_bitset_rows(elements, op, data):
     # h > k is drawn for the unrestricted operators; every row is compared,
-    # so both backends drop the same rows
+    # so both backends drop the same rows. A signed set-based row holds the
+    # non-negative half of its sums, and is mirrored here before comparing.
     a = make_set(elements)
     h = data.draw(st.integers(1, a.k if op.restricted else a.k + 3))
     half_width = _check_instance(a, h, op)
     multi, signed = not op.restricted, op.signed
     bitmaps = _rows(a.elements, h, multi, signed, a.k, 1 << half_width)
     sets = _rows(a.elements, h, multi, signed, a.k, frozenset((0,)), _shift)
+    if signed:
+        assert all(x >= 0 for row in sets for x in row)
+        sets = [row | {-x for x in row} for row in sets]
     assert [sorted(row) for row in sets] == [_decode(row, half_width)
                                              for row in bitmaps]
-    assert (sorted(_sums(a.elements, h, op))
+    assert (_sorted_sums(_sums(a.elements, h, op), signed)
             == _decode(_achievable(a.elements, h, op, half_width), half_width))
+
+
+@st.composite
+def signed_instance(draw):
+    elements = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=6,
+                             unique=True))
+    op = draw(st.sampled_from([Operator.SIGNED, RS]))
+    a = make_set(elements)
+    return a, draw(st.integers(1, a.k if op.restricted else a.k + 3)), op
+
+
+@settings(deadline=None)
+@given(signed_instance())
+@example((make_set([-5]), 1, RS))  # one element
+@example((make_set([0]), 2, Operator.SIGNED))  # only 0, h > k
+@example((make_set([1, 3]), 1, RS))  # no 0 in the sumset
+@example((make_set([1, 3]), 2, RS))  # 0 absent, 2 * |H| sums
+@example((make_set([-4, 0, 4]), 2, RS))  # negative, 0, and 0 in the sumset
+@example((make_set([-7, 0, 2]), 5, Operator.SIGNED))  # h > k
+def test_set_based_dp_holds_signed_rows_as_their_half(instance):
+    # _sums runs the set-based DP whichever backend _sparse would take
+    a, h, op = instance
+    half = _sums(a.elements, h, op)
+    naive = compute_sumset_naive(a, h, op)
+    assert sorted(half) == [x for x in naive.sums if x >= 0]
+    assert _sorted_sums(half, True) == list(naive.sums)
+    # 0 is the one sum that is its own mirror
+    assert 2 * len(half) - (0 in half) == naive.cardinality
+    assert _size(half, True) == naive.cardinality
 
 
 @settings(deadline=None)

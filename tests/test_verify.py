@@ -2,12 +2,14 @@ from collections import Counter
 
 import pytest
 
-from signedsum import (StructureKind, check_ap_iff, check_direct,
-                       check_inverse, check_partial_inverse,
+from signedsum import (ConditionCheck, Family, StructureKind, check_ap_iff,
+                       check_direct, check_inverse, check_partial_inverse,
                        check_prefix_decomposition, check_special_direct,
-                       compute_sumset_naive, make_set, sumset_cardinality,
-                       verify)
-from signedsum.engine import Operator
+                       classify_structure, compute_sumset,
+                       compute_sumset_naive, is_arithmetic_progression,
+                       make_set, sumset_cardinality, verify)
+from signedsum.engine import Operator, _check_instance, _sparse
+from test_engine import WIDE_SHORT_SETS
 
 # Exact cardinalities of |4^+-A| for the five-element boundary cases worked
 # out in the k=5 analysis: sets one or more gaps away from the extremal
@@ -221,26 +223,65 @@ class TestPartialInverse:
     @pytest.mark.parametrize("elements", [(1, 3, 5, 7, 9, 11),
                                           (0, 1, 2, 4, 6),
                                           (1, 2, 4, 8, 16, 32)])
-    def test_one_dp_per_set(self, monkeypatch, elements):
-        # A, its prefix and A minus its least element: three DPs in all
+    def test_one_pass_over_a_and_one_dp_on_its_tail(self, monkeypatch,
+                                                    elements):
+        # A and its prefix share one pass; A minus its least element takes
+        # one restricted DP; the prefix gets no DP of its own
         calls = []
 
-        def counted(fn):
-            def wrapper(a, h, op):
-                calls.append((a.elements, op))
-                return fn(a, h, op)
+        def counted(name, fn):
+            def wrapper(a, h, *args, **kwargs):
+                calls.append((name, a.elements, *args))
+                return fn(a, h, *args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(verify, "compute_sumset",
-                            counted(verify.compute_sumset))
-        monkeypatch.setattr(verify, "sumset_cardinality",
-                            counted(verify.sumset_cardinality))
+        for name in ("compute_sumset", "sumset_cardinality",
+                     "prefix_sumsets"):
+            monkeypatch.setattr(verify, name,
+                                counted(name, getattr(verify, name)))
         a = make_set(elements)
         check_partial_inverse(a, 4)
         assert Counter(calls) == Counter([
-            (a.elements, Operator.RESTRICTED_SIGNED),
-            (a.prefix(5).elements, Operator.RESTRICTED_SIGNED),
-            (a.without_min().elements, Operator.RESTRICTED)])
+            ("prefix_sumsets", a.elements),
+            ("compute_sumset", a.without_min().elements, Operator.RESTRICTED),
+        ])
+
+    def test_matches_a_reference_with_two_dps(self):
+        # the conditions as computed from separate DPs on the prefix and on
+        # A, on both backends, at every h in the window, h = k - 1 (where
+        # the prefix is A) included
+        rs = Operator.RESTRICTED_SIGNED
+        backends = set()
+        for elements in [s for s in WIDE_SHORT_SETS if min(s) >= 0] + [
+                [1, 3, 5, 7, 9, 11, 13], [0, 2, 4, 6, 8, 10],
+                [0, 1, 2, 4, 6], [1, 2, 4, 8, 16, 32], [1, 3, 5, 7, 9, 13],
+                [2, 3, 5, 8, 13, 21, 34, 55]]:
+            a = make_set(elements)
+            for h in range(4, a.k):
+                backends.add(_sparse(a.k, h, rs, _check_instance(a, h, rs)))
+                prefix, tail = a.prefix(h + 1), a.without_min()
+                full = set(compute_sumset(a, h, rs).sums)
+                head = set(compute_sumset(prefix, h, rs).sums)
+                restricted = set(compute_sumset(
+                    tail, h, Operator.RESTRICTED).sums)
+                family = Family.of(a)
+                surplus = len(head) >= family.prefix_base(h)
+                tail_is_ap = is_arithmetic_progression(tail)
+                applicable = {
+                    "a": is_arithmetic_progression(a),
+                    "b": is_arithmetic_progression(prefix),
+                    "c": surplus and 4 <= h <= a.k - 3,
+                    "d": (full == restricted | {-x for x in restricted} | head
+                          and tail_is_ap),
+                    "e": surplus and tail_is_ap,
+                }
+                equality = len(full) == family.optimal_bound(h, a.k).value
+                conclusion = classify_structure(a).kind is family.extremal
+                assert check_partial_inverse(a, h) == [
+                    ConditionCheck(cond, ok,
+                                   conclusion if equality and ok else None)
+                    for cond, ok in applicable.items()], (elements, h)
+        assert backends == {False, True}
 
 
 class TestSpecialDirect:

@@ -10,12 +10,13 @@ in this one process, and each prints one JSON line: its argv, exit code,
 stdout and stderr. Run the grid on two checkouts and ``diff`` the two
 outputs: identical lines mean byte-identical behaviour on every command.
 
-The grid's 1,226 commands cover every verb: each checker on sixteen sets
+The grid's 1,240 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
 k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
 reach the checkers (whose hypotheses refuse them) and the sumset
-operators; a few elements near 10^6 (the set-based DP's
-inputs) under every operator and through the checkers; the bound
+operators; a few elements near 10^6 (the set-based DP's inputs), with
+and without negatives and 0, under every operator and through the
+checkers, the conditional inverse checker at h = k - 1 too; the bound
 catalogue; sweeps of both families over every h, every emit mode, CSV on
 stdout, JSON, two worker counts (each with CSV in every emit mode that
 writes it), three workers over 55 shards, primitive counts past the
@@ -47,6 +48,8 @@ OPERATORS = ["classical", "restricted", "signed", "restricted-signed"]
 # "2,7" has h > k at h = 3: unrestricted sumsets, and restricted refusals
 SUMSET_SETS = ["1,3,5,7,9", "0,1,2,4,6", "2,5,9", "-3,1,4", "2,7"]
 WIDE_SET = "1,1000003,2000029,3000017"
+# negatives and 0; given as --set=..., as the value starts with "-"
+WIDE_SIGNED_SET = "-2000029,0,1,1000003,3000017"
 WIDE_AP = "63001,189003,315005,441007,567009,693011"  # 63001 * {1,3,...,11}
 WIDE_SPECIAL = "100003,155011,210029,365041,575069"  # superincreasing tail
 REPRODUCE_TARGETS = ["thm-h4-positive", "thm-h4-zero", "ap-iff", "interval",
@@ -68,8 +71,13 @@ def commands() -> list[str]:
     # a few elements near 10^6, which the set-based DP measures
     for op, h in itertools.product(OPERATORS, (1, 2, 3)):
         grid.append(f"sumset --set {WIDE_SET} --h {h} --op {op} --full --json")
+    for op, h in itertools.product(OPERATORS, (1, 2, 3)):
+        grid.append(f"sumset --set={WIDE_SIGNED_SET} --h {h} --op {op} --full")
     for theorem in THEOREMS[:4]:
         grid.append(f"check --set {WIDE_AP} --h 4 --theorem {theorem} --json")
+    for fmt in ("", " --json"):  # h = k - 1, where the prefix is the set
+        grid.append(f"check --set {WIDE_AP} --h 5 --theorem partial-inverse"
+                    f"{fmt}")
     grid.append(f"check --set {WIDE_SPECIAL} --h 4 --theorem special-direct "
                 f"--json")
     grid.append("sumset --set 1,100000000000 --h 1 --op restricted-signed")
