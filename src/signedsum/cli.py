@@ -14,11 +14,9 @@ stopped without a verdict.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
-import traceback
 
 from . import bounds, reproduce
 from .engine import Operator, compute_sumset
@@ -50,6 +48,7 @@ def _finish(as_json: bool, payload: dict, lines: list[str],
             counterexamples: list[IntegerSet]) -> int:
     """Print the JSON payload or the text lines, then dump every
     counterexample in both forms; the exit code is 1 if there were any."""
+    import json  # reproduce and every refusal would pay for it at import
     if as_json:
         print(json.dumps(payload))
     else:
@@ -178,6 +177,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     space = SearchSpace(k=args.k, h=args.h, max_element=args.max,
                         family=Family(args.family),
                         filter_id="primitive" if args.primitive_only else None)
@@ -330,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)  # cannot be read or written
         return 2
     except Exception:  # a fault in the program, not a verdict
+        import traceback  # every command would pay for it at import
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR
 

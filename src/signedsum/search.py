@@ -40,7 +40,6 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
-from multiprocessing import Pipe, Process
 from typing import Callable, Iterable, Iterator
 
 from .bounds import BoundFormula, Family
@@ -386,6 +385,10 @@ def _parallel(args: list, workers: int) -> Iterator:
     shard raises a ``RuntimeError`` naming the shard and the exit code.
     Closing the generator terminates and joins every worker.
     """
+    # only a parallel sweep needs multiprocessing, which loads socket,
+    # pickle and selectors; importing it here spares every other command
+    from multiprocessing import Pipe, Process
+    from multiprocessing.connection import wait
     procs, conns = [], []
     try:
         for _ in range(workers):
@@ -396,7 +399,6 @@ def _parallel(args: list, workers: int) -> Iterator:
             end.close()
             procs.append(proc)
             conns.append(conn)
-        from multiprocessing.connection import wait  # loaded by Pipe()
         idle, running, done = conns[::-1], {}, {}
         sent, window = 0, 8 * workers
         for i in range(len(args)):

@@ -180,20 +180,23 @@ def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
     prefix = a.prefix(h + 1)
     tail = a.without_min()  # A' = A minus its least element
 
-    # one DP pass for A and its prefix, whose sumsets (d) compares, and
-    # one DP for the tail
+    # one DP pass for A and its prefix, whose sumsets (d) compares; (d)
+    # needs the tail's DP only when the tail is a progression
     head, full = prefix_sumsets(a, h, sums=True)
-    tail_restricted = set(compute_sumset(tail, h, Operator.RESTRICTED).sums)
     equality = len(full) == family.optimal_bound(h, k).value
     surplus = len(head) >= family.prefix_base(h)
-    union = tail_restricted | {-x for x in tail_restricted} | head
     tail_is_ap = is_arithmetic_progression(tail)
+    union = None
+    if tail_is_ap:
+        tail_restricted = set(
+            compute_sumset(tail, h, Operator.RESTRICTED).sums)
+        union = tail_restricted | {-x for x in tail_restricted} | head
 
     applicable = {
         "a": is_arithmetic_progression(a),
         "b": is_arithmetic_progression(prefix),
         "c": surplus and 4 <= h <= k - 3,
-        "d": full == union and tail_is_ap,
+        "d": tail_is_ap and full == union,
         "e": surplus and tail_is_ap,
     }
     conclusion = classify_structure(a).kind is family.extremal

@@ -250,17 +250,35 @@ def test_every_grid_command_reaches_its_verb(capsys, monkeypatch):
                        "sweep --k 4 --h 3 --max 10 --emit nope"]
 
 
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import signedsum
+package = set(sys.modules) - before
+import signedsum.cli
+with_cli = set(sys.modules) - before
+import json
+print(json.dumps([sorted(package), sorted(with_cli)]))
+"""
+
+
 def test_cli_import_loads_no_process_pool():
     # every command pays for what the CLI imports; only a sweep's pool
-    # needs the pool's modules, and it loads them when it starts
+    # needs the pool's modules, and it loads them when it starts. Only the
+    # modules each import adds are compared, so whatever site preloads on
+    # a host cannot change the result.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    probe = ("import sys, signedsum.cli; print(sorted(set(sys.modules) & "
-             "{'concurrent.futures', 'multiprocessing.pool'}))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    package, with_cli = map(set, json.loads(done.stdout))
+    assert "signedsum" in package and "signedsum.cli" in with_cli
+    unwanted = {"multiprocessing", "multiprocessing.pool",
+                "concurrent.futures", "traceback", "json"}
+    assert package & unwanted == set()
+    assert with_cli & unwanted == set()
 
 
 class TestSumsetCommand:
@@ -501,6 +519,15 @@ class TestSweepCommand:
                                "--budget", "100")
         assert code == 2
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_refused(self, tmp_path, capsys, threads):
+        path = tmp_path / "keep.csv"
+        path.write_text("kept\n")
+        assert run_cli(capsys, "sweep", "--k", "5", "--h", "3", "--max", "12",
+                       "--threads", threads, "--csv", str(path)) == (
+            2, "", f"error: --threads must be at least 1, got {threads}\n")
+        assert path.read_text() == "kept\n"
 
     def test_unwritable_csv_path_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no-such-dir" / "out.csv"

@@ -10,7 +10,7 @@ in this one process, and each prints one JSON line: its argv, exit code,
 stdout and stderr. Run the grid on two checkouts and ``diff`` the two
 outputs: identical lines mean byte-identical behaviour on every command.
 
-The grid's 1,240 commands cover every verb: each checker on sixteen sets
+The grid's 1,241 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
 k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
 reach the checkers (whose hypotheses refuse them) and the sumset
@@ -21,8 +21,8 @@ catalogue; sweeps of both families over every h, every emit mode, CSV on
 stdout, JSON, two worker counts (each with CSV in every emit mode that
 writes it), three workers over 55 shards, primitive counts past the
 dilates by 2, spaces wide enough for the walk's floors to prune, and the
-budget, window and DP-size refusals; seeded probes, one over [1, 10^6];
-every reproduce target; and usage errors. No command writes a file,
+budget, window, DP-size and worker-count refusals; seeded probes, one
+over [1, 10^6]; every reproduce target; and usage errors. No command writes a file,
 and none is large enough to allocate much or run long on older
 checkouts.
 """
@@ -127,6 +127,7 @@ def commands() -> list[str]:
         "sweep --k 4 --h 3 --max 100000000 --budget " + str(10**40),
         "sweep --k 4 --h 3 --max 3",
         "sweep --k 4 --h 3 --max 10 --emit nope",
+        "sweep --k 5 --h 3 --max 12 --threads 0",
     ]
 
     for family, (k, h), seed, fmt in itertools.product(
