@@ -8,14 +8,13 @@ outside the window raise rather than extrapolate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .sets import IntegerSet, Record, StructureKind
+from .sets import IntegerSet, StructureKind, record_dict
 
 
-@dataclass(frozen=True)
-class BoundFormula(Record):
+class BoundFormula(NamedTuple):
     """A named lower bound: its value at (h, k), the hypothesis window it
     requires, and whether the bound is asserted to be attainable."""
 
@@ -23,6 +22,8 @@ class BoundFormula(Record):
     value: int
     hypothesis: str
     sharp: bool
+
+    to_dict = record_dict
 
 
 def general_bound(h: int, k: int, zero_in_a: bool) -> BoundFormula:

@@ -66,11 +66,10 @@ paths.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .sets import IntegerSet
 
@@ -103,8 +102,7 @@ class Operator(Enum):
         return self in (Operator.SIGNED, Operator.RESTRICTED_SIGNED)
 
 
-@dataclass(frozen=True)
-class SumsetResult:
+class SumsetResult(NamedTuple):
     """A computed sumset: sorted distinct sums plus summary statistics."""
 
     sums: tuple[int, ...]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds
 from .bounds import Family
@@ -21,8 +21,7 @@ from .verify import check_ap_iff, check_prefix_decomposition
 LEMMA_AUDIT_SEED = 1842
 
 
-@dataclass(frozen=True)
-class TargetRow:
+class TargetRow(NamedTuple):
     label: str
     passed: bool
     detail: str

@@ -37,41 +37,51 @@ import itertools
 import os
 import random
 from contextlib import closing, nullcontext
-from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import BoundFormula, Family
 from .engine import admit_walk, prefix_cardinalities
-from .sets import (NOT_STRUCTURED, IntegerSet, Record, StructureClass,
-                   classify_structure)
+from .sets import (NOT_STRUCTURED, IntegerSet, StructureClass,
+                   classify_structure, record_dict)
 
 DEFAULT_BUDGET = 10**7
 EMIT_MODES = ("interesting", "all", "none")
 FILTER_IDS = (None, "primitive")
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Candidate universe: k-subsets of [1, M], or {0} plus (k-1)-subsets.
-
-    The optional "primitive" filter keeps only sets whose elements have
-    gcd 1, skipping dilates of smaller sets.
-    """
-
+class _SpaceFields(NamedTuple):
     k: int
     h: int
     max_element: int
     family: Family
     filter_id: str | None = None
 
-    def __post_init__(self) -> None:
+
+class SearchSpace(_SpaceFields):
+    """Candidate universe: k-subsets of [1, M], or {0} plus (k-1)-subsets.
+
+    The optional "primitive" filter keeps only sets whose elements have
+    gcd 1, skipping dilates of smaller sets. A space is validated when it
+    is constructed, unpickled or made by ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, h: int, max_element: int, family: Family,
+                filter_id: str | None = None) -> SearchSpace:
+        self = super().__new__(cls, k, h, max_element, family, filter_id)
         self.bound()  # validates the family's (h, k) window
-        if self.filter_id not in FILTER_IDS:
-            raise ValueError(f"unknown filter {self.filter_id!r}")
-        if self.max_element < self.free:
+        if filter_id not in FILTER_IDS:
+            raise ValueError(f"unknown filter {filter_id!r}")
+        if max_element < self.free:
             raise ValueError("space smaller than k")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SearchSpace:
+        return cls(*iterable)
 
     @property
     def free(self) -> int:
@@ -135,17 +145,14 @@ class SearchSpace:
             yield from self.shard_candidates(key)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "h": self.h,
-            "max_element": self.max_element,
-            "family": self.family.value,
-            "filter": self.filter_id,
-        }
+        """The fields as :func:`record_dict` gives them, ``filter_id``
+        keyed as ``filter``."""
+        out = record_dict(self)
+        out["filter"] = out.pop("filter_id")  # it stays the last key
+        return out
 
 
-@dataclass(frozen=True)
-class SearchRecord(Record):
+class SearchRecord(NamedTuple):
     """One candidate set with its measured cardinality and status."""
 
     set: IntegerSet
@@ -153,6 +160,8 @@ class SearchRecord(Record):
     slack: int
     equality: bool
     structure: StructureClass
+
+    to_dict = record_dict
 
     def to_csv_row(self) -> str:
         return (",".join(map(str, self.set.elements)) + ";"
@@ -211,8 +220,24 @@ def _csv_run(prefix: tuple[int, ...], leaves: list[tuple[int, int]],
     return "".join(lines)
 
 
-@dataclass
-class SweepSummary:
+def _summary_dict(summary: SweepSummary | ProbeSummary) -> dict:
+    """The JSON form of a sweep or probe summary: its space's dict and
+    bound, then its other fields in field order but ``measured``, with
+    each equality set as its list of elements and each violation as its
+    record's dict."""
+    out = {"space": summary.space.to_dict(),
+           "bound": summary.space.bound().value}
+    for name, value in zip(summary._fields, summary):
+        if name == "equality_sets":
+            value = [r.set.to_list() for r in value]
+        elif name == "violations":
+            value = [r.to_dict() for r in value]
+        if name not in ("space", "measured"):
+            out[name] = value
+    return out
+
+
+class SweepSummary(NamedTuple):
     """``visited`` counts every candidate of the space that passes the
     filter, ``SearchSpace.size()``; ``measured`` counts those whose
     cardinality the walk formed, and the rest lay in pruned subtrees.
@@ -227,17 +252,7 @@ class SweepSummary:
     equality_sets: list[SearchRecord]
     violations: list[SearchRecord]
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space.to_dict(),
-            "bound": self.space.bound().value,
-            "visited": self.visited,
-            "min_cardinality": self.min_cardinality,
-            "equality_count": self.equality_count,
-            "violation_count": self.violation_count,
-            "equality_sets": [r.set.to_list() for r in self.equality_sets],
-            "violations": [r.to_dict() for r in self.violations],
-        }
+    to_dict = _summary_dict
 
 
 def _prune_limit(space: SearchSpace) -> int:
@@ -489,8 +504,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
                         violations)
 
 
-@dataclass
-class ProbeSummary:
+class ProbeSummary(NamedTuple):
     """``trials`` counts every draw; ``measured`` counts those that passed
     the filter and were measured. ``measured`` is not part of
     ``to_dict()``."""
@@ -505,18 +519,7 @@ class ProbeSummary:
     equality_count: int
     equality_sets: list[SearchRecord]
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space.to_dict(),
-            "bound": self.space.bound().value,
-            "trials": self.trials,
-            "seed": self.seed,
-            "min_slack": self.min_slack,
-            "violation_count": self.violation_count,
-            "violations": [r.to_dict() for r in self.violations],
-            "equality_count": self.equality_count,
-            "equality_sets": [r.set.to_list() for r in self.equality_sets],
-        }
+    to_dict = _summary_dict
 
 
 def random_probe(space: SearchSpace, trials: int, seed: int) -> ProbeSummary:

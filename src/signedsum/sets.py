@@ -1,13 +1,16 @@
 """Finite integer sets: normalization, dilation, and structure detection.
 
 Every value is immutable and every operation is pure, so anything here can
-be used from concurrent sweeps without coordination.
+be used from concurrent sweeps without coordination. The package's report
+records are ``typing.NamedTuple`` classes whose ``to_dict`` is
+:func:`record_dict`; :class:`IntegerSet` is a slotted class, since it
+iterates over its elements rather than over its one field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 
 class StructureKind(Enum):
@@ -17,15 +20,14 @@ class StructureKind(Enum):
     NONE = "NONE"
 
 
-class Record:
-    """Base of the dataclass reports whose JSON keys are their fields.
+def record_dict(record) -> dict:
+    """The dict of a NamedTuple report whose JSON keys are its fields.
 
-    ``to_dict`` gives every field in field order, a set as its list, an
-    enum as its value and a nested record as its dict.
+    It gives every field in field order, a set as its list, an enum as its
+    value and a nested record (anything with ``_fields``) as its
+    ``to_dict()``. Each such report binds it as ``to_dict = record_dict``.
     """
-
-    def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+    return {name: _plain(value) for name, value in zip(record._fields, record)}
 
 
 def _plain(value):
@@ -33,13 +35,12 @@ def _plain(value):
         return value.to_list()
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, Record):
+    if hasattr(value, "_fields"):
         return value.to_dict()
     return value
 
 
-@dataclass(frozen=True)
-class StructureClass(Record):
+class StructureClass(NamedTuple):
     """Classification of a set against the extremal families.
 
     ``d`` is the positive dilation factor (for the dilate kinds) or the
@@ -49,19 +50,45 @@ class StructureClass(Record):
     kind: StructureKind
     d: int | None = None
 
+    to_dict = record_dict
+
 
 NOT_STRUCTURED = StructureClass(StructureKind.NONE)  # immutable, so shared
 
 
-@dataclass(frozen=True)
 class IntegerSet:
     """Strictly increasing tuple of distinct integers.
 
     Construct through :func:`make_set`, which normalizes arbitrary input;
-    the raw constructor trusts its argument.
+    the raw constructor trusts its argument. It is immutable, hashable and
+    picklable, and equal only to an IntegerSet of the same elements.
     """
 
+    __slots__ = ("elements",)
     elements: tuple[int, ...]
+
+    def __init__(self, elements: tuple[int, ...]) -> None:
+        object.__setattr__(self, "elements", elements)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(elements={self.elements!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.elements,)
 
     @property
     def k(self) -> int:

@@ -9,18 +9,17 @@ counterexample reports, never exceptions, so sweeps can log and continue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds
 from .bounds import Family
 from .engine import (Operator, compute_sumset, prefix_sumsets,
                      sumset_cardinality)
-from .sets import (IntegerSet, Record, StructureClass, classify_structure,
-                   is_arithmetic_progression, make_set)
+from .sets import (IntegerSet, StructureClass, classify_structure,
+                   is_arithmetic_progression, make_set, record_dict)
 
 
-@dataclass(frozen=True)
-class BoundReport(Record):
+class BoundReport(NamedTuple):
     """One set measured against one lower bound.
 
     Negative slack means the bound was violated: a counterexample, which is
@@ -41,12 +40,11 @@ class BoundReport(Record):
         return self.slack >= 0
 
     def to_dict(self, structure: StructureClass | None = None) -> dict:
-        return {**super().to_dict(),
+        return {**record_dict(self),
                 "structure": structure.to_dict() if structure else None}
 
 
-@dataclass(frozen=True)
-class InverseVerdict:
+class InverseVerdict(NamedTuple):
     """Outcome of testing the inverse direction on a single set.
 
     ``structure_matches`` is defined only when the bound is attained.
@@ -66,8 +64,7 @@ class InverseVerdict:
         }
 
 
-@dataclass(frozen=True)
-class PrefixDecompositionReport(Record):
+class PrefixDecompositionReport(NamedTuple):
     """Audit of the prefix-surplus inequality.
 
     With t the surplus of the prefix sumset over its base cardinality, the
@@ -87,9 +84,10 @@ class PrefixDecompositionReport(Record):
     cardinality: int
     holds: bool | None
 
+    to_dict = record_dict
 
-@dataclass(frozen=True)
-class ConditionCheck(Record):
+
+class ConditionCheck(NamedTuple):
     """One side condition of the conditional inverse theorem.
 
     ``conclusion_verified`` is None unless the full hypothesis (bound
@@ -100,9 +98,10 @@ class ConditionCheck(Record):
     applicable: bool
     conclusion_verified: bool | None
 
+    to_dict = record_dict
 
-@dataclass(frozen=True)
-class ApIffReport(Record):
+
+class ApIffReport(NamedTuple):
     """Exact-cardinality iff check on an (h+1)-term arithmetic progression."""
 
     a1: int
@@ -115,6 +114,8 @@ class ApIffReport(Record):
     equality_observed: bool
     iff_holds: bool
     holds: bool
+
+    to_dict = record_dict
 
 
 def _measure(a: IntegerSet, h: int, bound_name: str,

@@ -264,9 +264,10 @@ print(json.dumps([sorted(package), sorted(with_cli)]))
 
 def test_cli_import_loads_no_process_pool():
     # every command pays for what the CLI imports; only a sweep's pool
-    # needs the pool's modules, and it loads them when it starts. Only the
-    # modules each import adds are compared, so whatever site preloads on
-    # a host cannot change the result.
+    # needs the pool's modules, and it loads them when it starts. The
+    # records are NamedTuples, so nothing loads dataclasses or, with it,
+    # inspect. Only the modules each import adds are compared, so whatever
+    # site preloads on a host cannot change the result.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -276,7 +277,8 @@ def test_cli_import_loads_no_process_pool():
     package, with_cli = map(set, json.loads(done.stdout))
     assert "signedsum" in package and "signedsum.cli" in with_cli
     unwanted = {"multiprocessing", "multiprocessing.pool",
-                "concurrent.futures", "traceback", "json"}
+                "concurrent.futures", "traceback", "json", "dataclasses",
+                "inspect"}
     assert package & unwanted == set()
     assert with_cli & unwanted == set()
 

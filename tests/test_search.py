@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -469,8 +468,7 @@ class TestCsvSink:
         # a bound of 33, not 25, makes the sets of 25 to 31 sums violations
         # (structured or not) and five unstructured sets equality cases
         space = SearchSpace(k=5, h=4, max_element=10, family=Family.POSITIVE)
-        raised = dataclasses.replace(space.bound(),
-                                     value=space.bound().value + 8)
+        raised = space.bound()._replace(value=space.bound().value + 8)
         monkeypatch.setattr(SearchSpace, "bound", lambda self: raised)
         for emit in ("all", "interesting"):
             records, blocks = [], []
