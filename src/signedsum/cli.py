@@ -22,7 +22,7 @@ from . import bounds, reproduce
 from .engine import Operator, compute_sumset
 from .search import (CSV_HEADER, DEFAULT_BUDGET, EMIT_MODES, Family,
                      SearchSpace, random_probe, sweep)
-from .sets import IntegerSet, gaps, is_arithmetic_progression, make_set
+from .sets import IntegerSet, common_difference, make_set
 from .verify import (check_ap_iff, check_direct, check_inverse,
                      check_partial_inverse, check_prefix_decomposition,
                      check_special_direct)
@@ -149,9 +149,9 @@ def _check_ap(a: IntegerSet, h: int) -> tuple[dict, list[str], bool]:
     if a.k != h + 1:
         raise ValueError(f"ap check requires an (h+1)-term progression, "
                          f"got k={a.k} for h={h}")
-    if not is_arithmetic_progression(a):
+    if (d := common_difference(a.elements)) is None:
         raise ValueError("ap check requires an arithmetic progression")
-    report = check_ap_iff(a.min_element, gaps(a)[0], h)
+    report = check_ap_iff(a.min_element, d, h)
     return report.to_dict(), [
         f"set: {a}  h: {h}  a1: {report.a1}  d: {report.d}",
         f"cardinality: {report.cardinality}  target (h+1)^2: "

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .bounds import BoundFormula, Family
 from .engine import admit_walk, prefix_cardinalities
 from .sets import (NOT_STRUCTURED, IntegerSet, StructureClass,
-                   classify_structure, record_dict)
+                   classify_structure, common_difference, record_dict)
 
 DEFAULT_BUDGET = 10**7
 EMIT_MODES = ("interesting", "all", "none")
@@ -198,12 +198,8 @@ def _csv_run(prefix: tuple[int, ...], leaves: list[tuple[int, int]],
     least four elements.
     """
     head = ",".join([names[x] for x in prefix]) + ","
-    step = prefix[1] - prefix[0]
-    # the span rules out most prefixes before their gaps are compared
-    ap_last = (prefix[-1] + step
-               if prefix[-1] - prefix[0] == step * (len(prefix) - 1)
-               and all(y - x == step for x, y in zip(prefix, prefix[1:]))
-               else None)
+    step = common_difference(prefix)
+    ap_last = None if step is None else prefix[-1] + step
     lines = []
     for a, card in leaves:
         if a == ap_last:
@@ -285,22 +281,23 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
 
     A sweep shard has one head, its key; a probe passes its draws, each a
     whole candidate, whose walk yields just that set's row. A candidate
-    that fails the primitive filter is walked but not measured. With
-    ``limit`` None every candidate is measured; otherwise the walk skips
-    each subtree whose sets all exceed ``limit``. ``min_card`` is the
-    least measured cardinality. ``rows`` holds a plain ``(candidate,
-    cardinality)`` pair, in walk order, for every measured candidate when
-    ``keep_all`` is set, and otherwise only for those at or below the
-    bound. When ``csv`` is set, ``csv_text`` holds the CSV lines of the
-    emitted candidates, every measured one when ``limit`` is None and
-    those at or below the bound otherwise; it is empty when ``csv`` is not
-    set. Only ints, tuples of ints and a string cross the process
-    boundary; the records are built in the parent.
+    that fails the primitive filter is walked but not measured, and
+    ``min_card`` is the least measured cardinality.
+
+    One rule decides what a shard emits. With ``limit`` None every
+    candidate is measured and emitted; otherwise the walk skips each
+    subtree whose sets all exceed ``limit``, and only the kept candidates,
+    those at or below the bound, are emitted. ``rows`` holds a plain
+    ``(candidate, cardinality)`` pair, in walk order, for each emitted
+    candidate when ``records`` is set, and for each kept one otherwise,
+    which is all the summary needs. ``csv_text`` holds the CSV lines of
+    the emitted candidates when ``csv`` is set, and is empty otherwise.
+    Only ints, tuples of ints and a string cross the process boundary;
+    the records are built in the parent.
     """
-    space, heads, limit, keep_all, csv = args
+    space, heads, limit, records, csv = args
     bound_value = space.bound().value
     primitive = space.filter_id == "primitive"
-    every_line = csv and limit is None
     measured = 0
     min_card: int | None = None
     rows: list[tuple[tuple[int, ...], int]] = []
@@ -322,17 +319,18 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
             low = min(counts)
             if min_card is None or low < min_card:
                 min_card = low
-            if low > bound_value and not (keep_all or every_line):
-                continue
+            if low > bound_value and limit is not None:
+                continue  # nothing here is kept, so nothing is emitted
             if leaves is None:
                 leaves = list(enumerate(counts, first))
             kept = ([(a, card) for a, card in leaves if card <= bound_value]
                     if low <= bound_value else [])
+            emitted = leaves if limit is None else kept
             rows += [(prefix + (a,), card)
-                     for a, card in (leaves if keep_all else kept)]
+                     for a, card in (emitted if records else kept)]
             if csv:
-                text.append(_csv_run(prefix, leaves if every_line else kept,
-                                     bound_value, unstructured, names))
+                text.append(_csv_run(prefix, emitted, bound_value,
+                                     unstructured, names))
     return min_card, rows, measured, "".join(text)
 
 
@@ -458,15 +456,19 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
 
     Raises before starting if the space exceeds ``budget`` candidate sets
     or its DP rows are too large to walk (``SearchSpace.admit``).
-    ``on_record`` receives emitted records in deterministic (lexicographic)
-    order; ``emit`` selects all records, only equality/violation records,
-    or none. ``csv_sink``, such as an open file's ``write``, receives the
-    same emitted records as CSV lines (``SearchRecord.to_csv_row`` and a
-    newline each), one string per shard, formatted in the shard; no
-    record is built for them. Unless every record is emitted, the walk
-    prunes each subtree whose sets must all exceed ``_prune_limit``: none
-    of them could be an emitted record or the minimum, and ``visited``
-    counts them with the rest, as ``space.size()``. With ``workers > 1``
+    ``on_record`` receives the emitted records in deterministic
+    (lexicographic) order, and ``csv_sink``, such as an open file's
+    ``write``, receives the same records as CSV lines
+    (``SearchRecord.to_csv_row`` and a newline each), one string per
+    shard, formatted in the shard; no record is built for them.
+
+    One rule decides what is emitted. ``emit="none"`` drops both
+    consumers. ``emit="all"`` with a consumer left emits every set, and
+    only then is ``limit`` None and nothing pruned. Otherwise the walk
+    prunes each subtree whose sets must all exceed ``_prune_limit``, and
+    the emitted sets are the equality cases and violations: the pruned
+    sets could be none of those nor the minimum, and ``visited`` counts
+    them with the rest, as ``space.size()``. With ``workers > 1``
     shards run in ``W`` worker processes, at most one per shard and per
     CPU, each sent the next shard whenever it is free (``_parallel``).
     Either way a shard returns only ``(candidate, cardinality)`` rows and
@@ -481,15 +483,13 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     if emit not in EMIT_MODES:
         raise ValueError(f"unknown emit mode {emit!r}")
     space.admit(budget)
-    emitting = on_record is not None and emit != "none"
-    csv = csv_sink is not None and emit != "none"
+    if emit == "none":
+        on_record = csv_sink = None
+    consumers = (on_record is not None, csv_sink is not None)
     # only a consumer of every record needs every set measured; otherwise
     # shards ship only the rows the summary keeps
-    limit = (None if (emitting or csv) and emit == "all"
-             else _prune_limit(space))
-    keep_all = emitting and limit is None
-    args = [(space, (key,), limit, keep_all, csv)
-            for key in space.shard_keys()]
+    limit = None if emit == "all" and any(consumers) else _prune_limit(space)
+    args = [(space, (key,), limit, *consumers) for key in space.shard_keys()]
     workers = min(workers, len(args), os.cpu_count() or 1)
     # leaving the block closes the runner and so ends its workers, so after
     # an error, such as a closed output pipe, no shard runs for nobody;
@@ -497,8 +497,7 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     with (closing(_parallel(args, workers)) if workers > 1
           else nullcontext(map(_sweep_shard, args))) as results:
         measured, min_card, equality_sets, violations = _merge(
-            results, space.bound().value, on_record if emitting else None,
-            csv_sink)
+            results, space.bound().value, on_record, csv_sink)
     return SweepSummary(space, space.size(), measured, min_card,
                         len(equality_sets), len(violations), equality_sets,
                         violations)

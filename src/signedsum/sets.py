@@ -168,35 +168,46 @@ def gaps(a: IntegerSet) -> list[int]:
     return [e[i + 1] - e[i] for i in range(a.k - 1)]
 
 
+def common_difference(elements: tuple[int, ...]) -> int | None:
+    """The common difference of an increasing tuple of ints that is an
+    arithmetic progression, else None (and None for fewer than two
+    elements): the one progression scan of the package. The span rules
+    out most tuples before their gaps are compared."""
+    if len(elements) < 2:
+        return None
+    step = elements[1] - elements[0]
+    if elements[-1] - elements[0] != step * (len(elements) - 1):
+        return None
+    for i in range(1, len(elements) - 1):
+        if elements[i + 1] - elements[i] != step:
+            return None
+    return step
+
+
 def is_arithmetic_progression(a: IntegerSet) -> bool:
     """True iff the set has constant consecutive gaps (k >= 2)."""
-    g = gaps(a)
-    return all(x == g[0] for x in g)
+    if a.k < 2:
+        raise ValueError("gaps undefined for k < 2")
+    return common_difference(a.elements) is not None
 
 
 def classify_structure(a: IntegerSet) -> StructureClass:
     """Match a set against the extremal families; requires k >= 2.
 
-    Every family is an arithmetic progression, so a set whose gaps are not
-    constant is NONE after one pass over them. The dilate kinds take
-    precedence over GENERAL_AP. Dilation factors are restricted to positive
-    integers, so sets with negative elements never match any family and
-    classify as NONE.
+    Every family is an arithmetic progression, so a set that
+    :func:`common_difference` does not read as one is NONE. The dilate
+    kinds take precedence over GENERAL_AP. Dilation factors are restricted
+    to positive integers, so sets with negative elements never match any
+    family and classify as NONE.
     """
     e = a.elements
     if len(e) < 2:
         raise ValueError("classification undefined for k < 2")
-    first = e[0]
-    step = e[1] - first
-    prev = e[1]
-    for x in e[2:]:
-        if x - prev != step:
-            return NOT_STRUCTURED
-        prev = x
-    if first < 0:
+    step = common_difference(e)
+    if step is None or e[0] < 0:
         return NOT_STRUCTURED
-    if first > 0 and step == 2 * first:  # d * {1, 3, ..., 2k-1}
-        return StructureClass(StructureKind.ODD_AP_DILATE, first)
-    if first == 0:  # d * {0, 1, ..., k-1}
+    if e[0] > 0 and step == 2 * e[0]:  # d * {1, 3, ..., 2k-1}
+        return StructureClass(StructureKind.ODD_AP_DILATE, e[0])
+    if e[0] == 0:  # d * {0, 1, ..., k-1}
         return StructureClass(StructureKind.ZERO_AP_DILATE, step)
     return StructureClass(StructureKind.GENERAL_AP, step)

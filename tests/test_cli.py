@@ -447,6 +447,14 @@ class TestCheckCommand:
         assert code == 2
         assert "arithmetic progression" in err
 
+    @pytest.mark.parametrize("s, h", [("5", "0"), ("1,2,4,9", "3"),
+                                      ("0,2,3,6", "3")])
+    def test_ap_refusal_bytes(self, capsys, s, h):
+        # a singleton, and a set whose span alone fits a progression
+        assert run_cli(capsys, "check", "--set", s, "--h", h,
+                       "--theorem", "ap") == (
+            2, "", "error: ap check requires an arithmetic progression\n")
+
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", "--set", "1,2,3", "--h", "3",
                                "--theorem", "no-such-theorem")

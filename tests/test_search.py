@@ -145,6 +145,13 @@ class TestSweep:
                         on_record=lambda r: seen.append(r))
         assert seen == []
         assert summary.equality_count == 2
+        # both consumers at once, at one and two workers: neither is called
+        interesting = sweep(space_h4_positive(), emit="interesting")
+        for workers in (1, 2):
+            summary = sweep(space_h4_positive(), emit="none", workers=workers,
+                            on_record=seen.append, csv_sink=seen.append)
+            assert seen == []
+            assert summary == interesting
 
     def test_primitive_filter_drops_dilates(self):
         space = SearchSpace(k=5, h=4, max_element=20, family=Family.POSITIVE,
@@ -394,11 +401,11 @@ class TestPrefixSharedSweep:
         # without records of every set and a CSV sink
         limit = None if emit == "all" else search._prune_limit(space)
         keys = space.shard_keys()
-        for keep_all, csv in ((emit == "all", True), (False, False)):
-            singles = [search._sweep_shard((space, (key,), limit, keep_all,
+        for records, csv in ((emit == "all", True), (False, False)):
+            singles = [search._sweep_shard((space, (key,), limit, records,
                                             csv)) for key in keys]
             min_card, rows, measured, text = search._sweep_shard(
-                (space, keys, limit, keep_all, csv))
+                (space, keys, limit, records, csv))
             assert min_card == min(s[0] for s in singles if s[0] is not None)
             assert rows == [row for s in singles for row in s[1]]
             assert measured == sum(s[2] for s in singles)

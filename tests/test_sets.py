@@ -1,22 +1,28 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from signedsum import (IntegerSet, StructureClass, StructureKind,
                        classify_structure, dilate, gaps,
                        is_arithmetic_progression, make_set)
+from signedsum.sets import common_difference
 
 
 def classify_reference(a: IntegerSet) -> StructureClass:
-    """The family-by-family definition that classify_structure must equal."""
+    """The family-by-family definition that classify_structure must equal.
+
+    It reads a progression from ``gaps``, not from ``common_difference``,
+    which classify_structure itself uses."""
     e = a.elements
+    g = gaps(a)
     d = e[0]
     if d >= 1 and all(x == (2 * i + 1) * d for i, x in enumerate(e)):
         return StructureClass(StructureKind.ODD_AP_DILATE, d)
     if e[0] == 0 and all(x == i * e[1] for i, x in enumerate(e)):
         return StructureClass(StructureKind.ZERO_AP_DILATE, e[1])
-    if e[0] >= 0 and is_arithmetic_progression(a):
-        return StructureClass(StructureKind.GENERAL_AP, e[1] - e[0])
+    if e[0] >= 0 and all(x == g[0] for x in g):
+        return StructureClass(StructureKind.GENERAL_AP, g[0])
     return StructureClass(StructureKind.NONE)
 
 
@@ -110,6 +116,57 @@ class TestGaps:
         assert is_arithmetic_progression(make_set([2, 5, 8, 11]))
         assert not is_arithmetic_progression(make_set([2, 5, 9]))
 
+    def test_is_arithmetic_progression_refuses_a_singleton(self):
+        with pytest.raises(ValueError, match=r"^gaps undefined for k < 2$"):
+            is_arithmetic_progression(make_set([5]))
+
+
+class TestCommonDifference:
+    @pytest.mark.parametrize("elements", [(0, 2, 3, 6), (1, 3, 4, 7)])
+    def test_equal_span_with_unequal_gaps(self, elements):
+        # the span equals (k-1) times the first gap, but the gaps differ
+        assert elements[-1] - elements[0] == 3 * (elements[1] - elements[0])
+        assert common_difference(elements) is None
+        a = IntegerSet(elements)
+        assert not is_arithmetic_progression(a)
+        assert classify_structure(a) == StructureClass(StructureKind.NONE)
+
+    @pytest.mark.parametrize("elements, d, kind", [
+        ((3, 5), 2, StructureKind.GENERAL_AP),
+        ((1, 3), 1, StructureKind.ODD_AP_DILATE),
+        ((0, 4), 4, StructureKind.ZERO_AP_DILATE),
+        ((-4, 9), None, StructureKind.NONE),
+    ])
+    def test_two_elements_are_a_progression(self, elements, d, kind):
+        assert common_difference(elements) == elements[1] - elements[0]
+        a = IntegerSet(elements)
+        assert is_arithmetic_progression(a)
+        assert classify_structure(a) == StructureClass(kind, d)
+
+    def test_progression_below_zero(self):
+        a = IntegerSet((-3, 1, 5, 9))
+        assert common_difference(a.elements) == 4
+        assert is_arithmetic_progression(a)
+        assert classify_structure(a) == StructureClass(StructureKind.NONE)
+
+    def test_fewer_than_two_elements(self):
+        assert common_difference(()) is None
+        assert common_difference((5,)) is None
+
+    @given(st.one_of(
+        st.lists(st.integers(-50, 50), min_size=2, max_size=9, unique=True),
+        st.builds(lambda a, d, k: [a + i * d for i in range(k)],
+                  st.integers(-50, 50), st.integers(1, 9),
+                  st.integers(2, 9))))
+    @example([0, 2, 3, 6])
+    @example([0, 3, 4, 5, 12])
+    def test_matches_the_gaps(self, elements):
+        elements = tuple(sorted(elements))
+        g = gaps(IntegerSet(elements))
+        d = common_difference(elements)
+        assert (d is not None) == all(x == g[0] for x in g)
+        assert d is None or d == g[0]
+
 
 class TestClassifyStructure:
     def test_odd_ap_dilate(self):
@@ -142,7 +199,8 @@ class TestClassifyStructure:
                 is StructureKind.NONE)
 
     def test_singleton_rejected(self):
-        with pytest.raises(ValueError, match="classification undefined"):
+        with pytest.raises(ValueError,
+                           match=r"^classification undefined for k < 2$"):
             classify_structure(make_set([5]))
 
     @pytest.mark.parametrize("base,kind", [

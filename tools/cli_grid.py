@@ -7,10 +7,11 @@ Usage:
 ``SRC_ROOT`` is the directory that holds the ``signedsum`` package, such
 as ``src`` in a checkout. Every command runs through ``signedsum.cli.main``
 in this one process, and each prints one JSON line: its argv, exit code,
-stdout and stderr. Run the grid on two checkouts and ``diff`` the two
-outputs: identical lines mean byte-identical behaviour on every command.
+stdout and stderr. Identical lines on two checkouts mean byte-identical
+behaviour on every command; ``tools/grid_diff.py REV`` runs the grid on a
+revision and on the working tree and names the commands that differ.
 
-The grid's 1,241 commands cover every verb: each checker on sixteen sets
+The grid's 1,242 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
 k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
 reach the checkers (whose hypotheses refuse them) and the sumset
@@ -22,7 +23,8 @@ stdout, JSON, two worker counts (each with CSV in every emit mode that
 writes it), three workers over 55 shards, primitive counts past the
 dilates by 2, spaces wide enough for the walk's floors to prune, and the
 budget, window, DP-size and worker-count refusals; seeded probes, one
-over [1, 10^6]; every reproduce target; and usage errors. No command writes a file,
+over [1, 10^6]; every reproduce target; usage errors; and the AP check
+of a one-element set, which is no progression. No command writes a file,
 and none is large enough to allocate much or run long on older
 checkouts.
 """
@@ -64,6 +66,7 @@ def commands() -> list[str]:
     grid.append("check --set-file missing-set-file.txt --h 4 --theorem direct")
     grid.append("check --h 4 --theorem direct")
     grid.append("check --set 1,3,5,7,9 --h 4 --theorem nope")
+    grid.append("check --set 5 --h 0 --theorem ap")  # no progression
 
     for op, s, h, fmt in itertools.product(
             OPERATORS, SUMSET_SETS, (1, 2, 3), ("", " --full --json")):
