@@ -27,16 +27,19 @@ at most 1, so with ``left`` of them to come the rows below h - left go;
 under an unrestricted one it can add any weight, so only the last step
 drops anything: every row but h.
 
-``compute_sumset`` and ``sumset_cardinality`` take the cheaper backend.
-The bitset DP offers k elements to h + 1 rows of 2 * half_width + 1 bits;
-the set-based DP forms at most ``_sparse_cost(k, h, op)`` sums, an
-admissible-vector count cached per (k, h, op). The set-based DP is taken
-when ``SPARSE_WEIGHT`` (3,000, measured, see its comment) times that
-bound is below the bitset's bits. The range guard runs first and still
-sizes every instance by its bitmap, so the same inputs are refused
-whichever backend would run. ``prefix_sumsets`` reads row h of a prefix
-on the way through the same pass, so a set and its prefix cost one DP,
-for their sizes or for their sums.
+``compute_sumset``, ``sumset_cardinality`` and ``prefix_sumsets`` each
+run one ``_pass``, the one place that guards an instance, chooses its
+backend and moves its rows, and each reads row h. ``_pass`` takes the
+cheaper backend. The bitset DP offers k elements to h + 1 rows of
+2 * half_width + 1 bits; the set-based DP forms at most
+``_sparse_cost(k, h, op)`` sums, an admissible-vector count cached per
+(k, h, op). The set-based DP is taken when ``SPARSE_WEIGHT`` (3,000,
+measured, see its comment) times that bound is below the bitset's bits.
+The range guard runs first and still sizes every instance by its bitmap,
+so the same inputs are refused whichever backend would run.
+``prefix_sumsets`` has the pass keep row h of the set's h + 1 smallest
+elements on the way through, so a set and its prefix cost one DP, for
+their sizes or for their sums.
 
 Sweeps use the bitset backend alone. The walk extends each shared
 prefix's rows once instead of rerunning the DP for every candidate, and
@@ -231,13 +234,6 @@ def _achievable(elements: tuple[int, ...], h: int, op: Operator,
                  1 << half_width)[h]
 
 
-def _sums(elements: tuple[int, ...], h: int, op: Operator) -> frozenset[int]:
-    """The set of sums with total weight exactly h: the set-based DP. Under
-    a signed operator it holds only the sums >= 0 (see ``_shift``)."""
-    return _rows(elements, h, not op.restricted, op.signed, len(elements),
-                 frozenset((0,)), _shift)[h]
-
-
 def _sorted_sums(row: frozenset[int], signed: bool) -> list[int]:
     """The sums of a set-based row, ascending; a signed half row mirrored."""
     half = sorted(row)
@@ -298,56 +294,68 @@ def _sparse(k: int, h: int, op: Operator, half_width: int) -> bool:
             < (h + 1) * k * (2 * half_width + 1))
 
 
+def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
+          ) -> tuple[int | frozenset[int], int | frozenset[int], bool, int]:
+    """One DP pass over A at fold h under ``op``, on the cheaper backend:
+    ``(head, row, sparse, half_width)``.
+
+    ``row`` is row h after every element, the sumset, and ``head`` is row h
+    after the h + 1 smallest with ``prefix``, or ``row`` again without. A
+    row is a bitmap in which bit i encodes i - half_width, or with
+    ``sparse`` a set of sums, a signed one held as its non-negative half
+    (``_shift``). The range guard runs first, so the same inputs are
+    refused whichever backend would run, and only then a prefix that would
+    need more elements than A has. Row h after h + 1 elements is the
+    prefix's sumset: the rows dropped before then are those the elements
+    up to the last could not lift to weight h, so none of them reaches row
+    h after h + 1.
+    """
+    half_width = _check_instance(a, h, op)
+    elements, k = a.elements, a.k
+    if prefix and k == h:
+        raise ValueError("the prefix needs h + 1 elements")
+    sparse = _sparse(k, h, op, half_width)
+    seed, move = ((frozenset((0,)), _shift) if sparse
+                  else (1 << half_width, _move))
+    multi, signed = not op.restricted, op.signed
+    cut = h + 1 if prefix else k
+    dp = _rows(elements[:cut], h, multi, signed, k, seed, move)
+    head = dp[h]
+    if cut < k:
+        dp = _rows(elements[cut:], h, multi, signed, k - cut, seed, move, dp)
+    return head, dp[h], sparse, half_width
+
+
 def compute_sumset(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
     """The exact sumset of A under ``op`` at fold ``h``, by the cheaper DP."""
-    half_width = _check_instance(a, h, op)
-    if _sparse(a.k, h, op, half_width):
-        return SumsetResult.from_sorted(
-            _sorted_sums(_sums(a.elements, h, op), op.signed))
-    bitmap = _achievable(a.elements, h, op, half_width)
-    return SumsetResult.from_sorted(_decode(bitmap, half_width))
+    _, row, sparse, half_width = _pass(a, h, op)
+    return SumsetResult.from_sorted(_sorted_sums(row, op.signed) if sparse
+                                    else _decode(row, half_width))
 
 
 def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
     """|sumset| without materializing the sums; the checkers' call."""
-    half_width = _check_instance(a, h, op)
-    if _sparse(a.k, h, op, half_width):
-        return _size(_sums(a.elements, h, op), op.signed)
-    return _achievable(a.elements, h, op, half_width).bit_count()
+    _, row, sparse, _ = _pass(a, h, op)
+    return _size(row, op.signed) if sparse else row.bit_count()
 
 
 def prefix_sumsets(a: IntegerSet, h: int, sums: bool = False
                    ) -> tuple[int, int] | tuple[frozenset[int], frozenset[int]]:
     """The restricted signed sumsets of A's h + 1 smallest elements and of
-    A, from one DP pass on the backend ``sumset_cardinality`` takes for A:
-    their sizes, or with ``sums`` the sumsets themselves, unsorted.
-
-    The pass keeps row h after h + 1 elements and goes on. That row is the
-    prefix's sumset: the rows dropped before then are those the elements
-    up to the last could not lift to weight h, so none of them reaches row
-    h after h + 1. On the bitset backend it sits at A's offset, so it is
+    A, from one ``_pass``, on the backend ``sumset_cardinality`` takes for
+    A: their sizes, or with ``sums`` the sumsets themselves, unsorted. On
+    the bitset backend the prefix's row sits at A's offset, so it is
     decoded with A's half-width. With k = h + 1 both come from the same
     rows.
     """
-    op = Operator.RESTRICTED_SIGNED
-    half_width = _check_instance(a, h, op)
-    if a.k == h:
-        raise ValueError("the prefix needs h + 1 elements")
-    sparse = _sparse(a.k, h, op, half_width)
-    if sparse:
-        seed, move = frozenset((0,)), _shift
-    else:
-        seed, move = 1 << half_width, _move
-    dp = _rows(a.elements[:h + 1], h, False, True, a.k, seed, move)
-    head = dp[h]
-    dp = _rows(a.elements[h + 1:], h, False, True, a.k - h - 1, seed, move,
-               dp)
+    head, full, sparse, half_width = _pass(a, h, Operator.RESTRICTED_SIGNED,
+                                           True)
 
     def read(row):
         if sparse:
             return row | {-x for x in row} if sums else _size(row, True)
         return frozenset(_decode(row, half_width)) if sums else row.bit_count()
-    return read(head), read(dp[h])
+    return read(head), read(full)
 
 
 def admit_walk(h: int, k: int, max_element: int) -> int:

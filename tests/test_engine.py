@@ -281,6 +281,42 @@ class TestPrefixSumsetCardinality:
             prefix_sumsets(a, 5)
         with pytest.raises(ValueError, match="h exceeds"):
             prefix_sumsets(a, 6)
+        # the range guard comes before the prefix's own refusal
+        with pytest.raises(ValueError, match="range overflow"):
+            prefix_sumsets(make_set([1, 2**40]), 2)
+        with pytest.raises(ValueError, match="h must be a positive integer"):
+            prefix_sumsets(make_set([1, 3]), 0)
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_every_entry_point_matches_the_oracle_on_either_backend(
+        sparse, monkeypatch):
+    # Each backend is forced on small sets with negatives and 0, so the
+    # set-based one runs where the choice would never take it, and
+    # prefix_sumsets(..., sums=True) on sets its only caller refuses.
+    calls = []
+
+    def forced(*args):
+        calls.append(args)
+        return sparse
+
+    monkeypatch.setattr(engine, "_sparse", forced)
+    rng = random.Random(41)
+    for _ in range(300):
+        a = make_set(rng.sample(range(-7, 10), rng.randint(1, 6)))
+        for op in Operator:
+            for h in range(1, a.k + 1 if op.restricted else a.k + 3):
+                naive = compute_sumset_naive(a, h, op)
+                assert compute_sumset(a, h, op) == naive, (a, h, op)
+                assert sumset_cardinality(a, h, op) == naive.cardinality
+        for h in range(1, a.k):
+            head = compute_sumset_naive(a.prefix(h + 1), h, RS)
+            full = compute_sumset_naive(a, h, RS)
+            assert prefix_sumsets(a, h) == (head.cardinality,
+                                            full.cardinality), (a, h)
+            assert prefix_sumsets(a, h, sums=True) == (
+                frozenset(head.sums), frozenset(full.sums)), (a, h)
+    assert calls
 
 
 class TestPackedWalk:

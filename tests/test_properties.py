@@ -6,7 +6,7 @@ from signedsum import (Operator, StructureKind, classify_structure,
                        compute_sumset, compute_sumset_naive, dilate, gaps,
                        make_set)
 from signedsum.engine import (_achievable, _check_instance, _decode, _rows,
-                              _shift, _size, _sorted_sums, _sums)
+                              _shift, _size, _sorted_sums)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -69,12 +69,13 @@ def test_set_based_rows_match_bitset_rows(elements, op, data):
     multi, signed = not op.restricted, op.signed
     bitmaps = _rows(a.elements, h, multi, signed, a.k, 1 << half_width)
     sets = _rows(a.elements, h, multi, signed, a.k, frozenset((0,)), _shift)
+    half = sets[h]
     if signed:
         assert all(x >= 0 for row in sets for x in row)
         sets = [row | {-x for x in row} for row in sets]
     assert [sorted(row) for row in sets] == [_decode(row, half_width)
                                              for row in bitmaps]
-    assert (_sorted_sums(_sums(a.elements, h, op), signed)
+    assert (_sorted_sums(half, signed)
             == _decode(_achievable(a.elements, h, op, half_width), half_width))
 
 
@@ -96,9 +97,10 @@ def signed_instance(draw):
 @example((make_set([-4, 0, 4]), 2, RS))  # negative, 0, and 0 in the sumset
 @example((make_set([-7, 0, 2]), 5, Operator.SIGNED))  # h > k
 def test_set_based_dp_holds_signed_rows_as_their_half(instance):
-    # _sums runs the set-based DP whichever backend _sparse would take
+    # _rows runs the set-based DP whichever backend _sparse would take
     a, h, op = instance
-    half = _sums(a.elements, h, op)
+    half = _rows(a.elements, h, not op.restricted, op.signed, a.k,
+                 frozenset((0,)), _shift)[h]
     naive = compute_sumset_naive(a, h, op)
     assert sorted(half) == [x for x in naive.sums if x >= 0]
     assert _sorted_sums(half, True) == list(naive.sums)

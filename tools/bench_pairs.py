@@ -1,0 +1,120 @@
+"""Run the benchmark in pairs against a git revision and apply its rules.
+
+Usage:
+
+    python tools/bench_pairs.py REV [WORKLOAD ...]
+
+The script extracts ``git archive REV``, the parent, into a temporary
+directory and, for each named workload (every workload in
+``BENCHMARK.json`` by default), runs 10 pairs: the benchmark command of
+``BENCHMARK.json`` with ``--workload W --seed S --seconds <run_seconds>
+--trace 0``, once in the parent's tree and once in the working tree, the
+change. Both sides of pair i use seed i, and the side that runs first
+alternates from pair to pair. For each end-to-end metric it prints the
+parent's median and quartiles, the change's median, the change's wins out
+of the pairs (by the metric's ``better``; ties count for neither side),
+whether the medians differ by more than the parent's interquartile range,
+and whether the change's median is within the metric's ``bound``, a
+fraction of the parent's median. Failed runs are reported on stderr.
+
+It exits 1 if a median is worse than the parent's by more than its
+bound, or if any run fails, is not correct or reports failed operations;
+0 otherwise; and 2 on a usage error or a revision ``git archive`` cannot
+read.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+
+def run(spec: dict, tree: Path, workload: str, seed: int) -> dict | None:
+    """One benchmark run in ``tree``: its end-to-end metric values, or None
+    when the run fails, is not correct or reports failed operations."""
+    argv = [*spec["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if (proc.returncode != 0 or result is None or not result["correct"]
+            or result["failed"]):
+        print(f"{workload} seed {seed} in {tree}: exit {proc.returncode}, "
+              f"result {result}\n{proc.stderr[-2000:]}", file=sys.stderr)
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def report(workload: str, metric: dict, pairs: list[tuple[dict, dict]]
+           ) -> bool:
+    """Print one metric's comparison; return whether it is within bound."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    before = [b[name] for b, _ in pairs]
+    after = [a[name] for _, a in pairs]
+    q1, median, q3 = statistics.quantiles(before, n=4, method="inclusive")
+    changed = statistics.median(after)
+    wins = sum(a < b if lower else a > b for b, a in zip(before, after))
+    bound = metric["bound"]
+    limit = median * (1 + bound if lower else 1 - bound)
+    within = changed <= limit if lower else changed >= limit
+    print(f"{workload} {name} ({metric['unit']}, {metric['better']} is "
+          f"better): parent median {median:.6g} (quartiles {q1:.6g}-"
+          f"{q3:.6g}), change median {changed:.6g}, change wins {wins} of "
+          f"{len(pairs)}, medians differ by more than the parent's IQR: "
+          f"{'yes' if abs(changed - median) > q3 - q1 else 'no'}, "
+          f"within bound {bound}: {'yes' if within else 'no'}")
+    return within
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    args = sys.argv[1:]
+    workloads = args[1:] or names
+    if not args or any(a.startswith("-") for a in args) or not set(
+            workloads) <= set(names):
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: python tools/bench_pairs.py REV [WORKLOAD ...]; "
+              f"workloads: {' '.join(names)}", file=sys.stderr)
+        return 2
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args[0]],
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(archive.stderr.decode(errors="replace"))
+        return 2
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            if hasattr(tarfile, "data_filter"):
+                tar.extraction_filter = tarfile.data_filter
+            tar.extractall(tmp)
+        for workload in workloads:
+            pairs = []
+            for seed in range(1, PAIRS + 1):
+                trees = [Path(tmp), ROOT][::1 if seed % 2 else -1]
+                values = {tree: run(spec, tree, workload, seed)
+                          for tree in trees}
+                if None in values.values():
+                    ok = False
+                else:
+                    pairs.append((values[Path(tmp)], values[ROOT]))
+            if len(pairs) < 2:  # no quartiles; the failed runs are reported
+                continue
+            for metric in spec["end_to_end"]:
+                ok &= report(workload, metric, pairs)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
