@@ -227,6 +227,7 @@ def _rows(elements: tuple[int, ...], h: int, multi: bool, signed: bool,
     return dp
 
 
+# callers: perfbench's tracer (tests/test_tracer.py), tests; ROADMAP item 9
 def _achievable(elements: tuple[int, ...], h: int, op: Operator,
                 half_width: int) -> int:
     """Bitmap of sums with total weight exactly h; bit i encodes i - half_width."""

@@ -134,15 +134,12 @@ class SearchSpace(_SpaceFields):
         return [self.family.fixed + pair
                 for pair in itertools.combinations(range(1, top + 1), 2)]
 
+    # callers: perfbench's tracer (tests/test_tracer.py), tests; ROADMAP item 9
     def shard_candidates(self, key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """Every candidate that starts with the shard head ``key``."""
         rest = range(key[-1] + 1, self.max_element + 1)
         for tail in itertools.combinations(rest, self.k - len(key)):
             yield key + tail
-
-    def candidates(self) -> Iterator[tuple[int, ...]]:
-        for key in self.shard_keys():
-            yield from self.shard_candidates(key)
 
     def to_dict(self) -> dict:
         """The fields as :func:`record_dict` gives them, ``filter_id``
@@ -163,6 +160,7 @@ class SearchRecord(NamedTuple):
 
     to_dict = record_dict
 
+    # callers: perfbench's tracer (tests/test_tracer.py), tests; ROADMAP item 9
     def to_csv_row(self) -> str:
         return (",".join(map(str, self.set.elements)) + ";"
                 + _csv_columns(self.cardinality, self.slack, self.equality,
@@ -174,8 +172,10 @@ CSV_HEADER = "set;cardinality;slack;equality;structure_kind;d"
 
 def _csv_columns(cardinality: int, slack: int, equality: bool,
                  structure: StructureClass) -> str:
-    """The CSV columns after ``set``, in ``CSV_HEADER`` order: the one row
-    format of ``SearchRecord.to_csv_row`` and of the shards' CSV text."""
+    """The CSV columns after ``set``, in ``CSV_HEADER`` order, ``;``
+    separated: cardinality, slack, ``true`` or ``false``, the structure
+    kind and ``d`` (empty when there is none). A CSV row is the set's
+    elements joined by ``,``, a ``;`` and these columns."""
     d = "" if structure.d is None else str(structure.d)
     return ";".join([str(cardinality), str(slack),
                      "true" if equality else "false", structure.kind.value, d])
@@ -185,8 +185,8 @@ def _csv_run(prefix: tuple[int, ...], leaves: list[tuple[int, int]],
              bound_value: int, unstructured: dict[int, str],
              names: list[str]) -> str:
     """The CSV lines of the siblings ``prefix + (a,)`` for the ``(a,
-    cardinality)`` pairs ``leaves``, in order, as ``SearchRecord.to_csv_row``
-    gives them, each ending in a newline.
+    cardinality)`` pairs ``leaves``, in order, in ``CSV_HEADER``'s format
+    (the set, then :func:`_csv_columns`), each ending in a newline.
 
     The text of the shared prefix is formed once, and each element's text
     is looked up in ``names``, where ``names[x]`` is ``str(x)``. Only an
@@ -458,9 +458,9 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     or its DP rows are too large to walk (``SearchSpace.admit``).
     ``on_record`` receives the emitted records in deterministic
     (lexicographic) order, and ``csv_sink``, such as an open file's
-    ``write``, receives the same records as CSV lines
-    (``SearchRecord.to_csv_row`` and a newline each), one string per
-    shard, formatted in the shard; no record is built for them.
+    ``write``, receives the same records as CSV lines in ``CSV_HEADER``'s
+    format (the set, then :func:`_csv_columns`, and a newline each), one
+    string per shard, formatted in the shard; no record is built for them.
 
     One rule decides what is emitted. ``emit="none"`` drops both
     consumers. ``emit="all"`` with a consumer left emits every set, and

@@ -56,6 +56,7 @@ class InverseVerdict(NamedTuple):
     structure_matches: bool | None
     report: BoundReport
 
+    # the verify-wide benchmark's output check reads these keys
     def to_dict(self) -> dict:
         return {
             "equality_holds": self.equality_holds,
