@@ -44,6 +44,20 @@ class TestSearchSpace:
         assert zero.size() == 495
         assert all(key[0] == 0 for key in zero.shard_keys())
 
+    def test_candidates_are_lexicographic(self):
+        # each shard holds only the sets that begin with its key, and the
+        # shards joined in key order give a strictly increasing stream
+        for filter_id in (None, "primitive"):
+            space = SearchSpace(k=4, h=3, max_element=7,
+                                family=Family.POSITIVE, filter_id=filter_id)
+            listed = []
+            for key in space.shard_keys():
+                shard = list(space.shard_candidates(key))
+                assert all(c[:len(key)] == key for c in shard), key
+                listed += shard
+            assert listed == sorted(set(listed)), filter_id
+            assert len(listed) == space.size(), filter_id
+
     def test_fold_window(self):
         with pytest.raises(ValueError, match="3 <= h <= k-1"):
             SearchSpace(k=5, h=5, max_element=10, family=Family.POSITIVE)
