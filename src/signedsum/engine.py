@@ -32,11 +32,12 @@ run one ``_pass``, the one place that guards an instance, chooses its
 backend and moves its rows, and each reads row h. ``_pass`` takes the
 cheaper backend. The bitset DP offers k elements to h + 1 rows of
 2 * half_width + 1 bits; the set-based DP forms at most
-``_sparse_cost(k, h, op)`` sums, an admissible-vector count cached per
-(k, h, op). The set-based DP is taken when ``SPARSE_WEIGHT`` (3,000,
-measured, see its comment) times that bound is below the bitset's bits.
-The range guard runs first and still sizes every instance by its bitmap,
-so the same inputs are refused whichever backend would run.
+``_sparse_cost(k, h, op)`` sums, the number of admissible coefficient
+vectors of weight 1 to h, cached per (k, h, op). The set-based DP is
+taken when ``SPARSE_WEIGHT`` (3,000, measured, see its comment) times
+that count is below the bitset's bits. The range guard runs first and
+still sizes every instance by its bitmap, so the same inputs are refused
+whichever backend would run.
 ``prefix_sumsets`` has the pass keep row h of the set's h + 1 smallest
 elements on the way through, so a set and its prefix cost one DP, for
 their sizes or for their sums.
@@ -79,13 +80,15 @@ from .sets import IntegerSet
 MAX_DP_BITS = 2**30  # 128 MiB across the h + 1 weight rows
 NAIVE_VECTOR_LIMIT = 10**8
 # How many bits offered by the bitset DP cost as much as one sum formed by
-# the set-based DP. Measured on 840 sets (k 3 to 10, h 1 to 6, all four
-# operators, elements drawn from [1, s * k] for s from 3 to 30,000) on a
-# 2-vCPU Xeon with Python 3.11: choosing by this weight took 229 ms for
-# all their cardinalities, against 224 ms for the faster backend each time
-# and 568 ms for the bitset alone (full sumsets: 461, 456 and 1,092 ms).
-# Weights from 2,000 to 3,000 did as well; 1,000 and 5,000 took 260 and
-# 252 ms. No reproduce call has more than 59 bits per bounded sum.
+# the set-based DP, its sums counted as the number of admissible
+# coefficient vectors of weight 1 to h (``_sparse_cost``). Measured on 840
+# sets (k 3 to 10, h 1 to 6, all four operators, elements drawn from
+# [1, s * k] for s from 3 to 30,000) on a 2-vCPU Xeon with Python 3.11:
+# choosing by this weight took 229 ms for all their cardinalities, against
+# 224 ms for the faster backend each time and 568 ms for the bitset alone
+# (full sumsets: 461, 456 and 1,092 ms). Weights from 2,000 to 3,000 did
+# as well; 1,000 and 5,000 took 260 and 252 ms. No reproduce call has more
+# than 59 bits per bounded sum.
 SPARSE_WEIGHT = 3000
 
 
@@ -262,30 +265,28 @@ def _decode(bitmap: int, half_width: int) -> list[int]:
 
 @lru_cache(maxsize=1024)
 def _sparse_cost(k: int, h: int, op: Operator) -> int:
-    """An upper bound on the sums the set-based DP forms on a k-set at fold h.
+    """An upper bound on the sums the set-based DP forms on a k-set at fold
+    h: the number of admissible coefficient vectors of weight 1 to h.
 
     Before element j + 1 is offered, row w holds at most one sum per
-    admissible vector of weight w on j elements, and each is moved once,
-    or h - w times under an unrestricted operator, and both ways when
-    signed. Counting stops once it passes ``k * MAX_DP_BITS //
-    SPARSE_WEIGHT``: the guard admits no bitmap wide enough for the
-    set-based DP to win beyond that.
+    admissible vector of weight w on the first j elements, and the DP
+    moves it once per coefficient c != 0 that element j + 1 may take with
+    weight w + |c| <= h. Each such (vector, c) is one admissible vector
+    of weight w + |c| on the first j + 1 elements whose last non-zero
+    coefficient is c, on element j + 1, and splitting every vector of
+    weight 1 to h at its last non-zero coefficient gives each pair once.
+
+    The count needs no cap. Above ``k * MAX_DP_BITS // SPARSE_WEIGHT``
+    ``_sparse`` takes the bitset on every instance the range guard admits,
+    whose bits are at most k * ``MAX_DP_BITS``, so a count cut short there
+    chooses as the full one does.
 
     A signed row is held as its non-negative half (``_shift``), which
     forms about half the sums counted here, so for the signed operators
     the bound is about twice loose. It is kept so: ``SPARSE_WEIGHT`` was
     measured against this count, and the backend choice stays as it was.
     """
-    cap = k * MAX_DP_BITS // SPARSE_WEIGHT
-    signs = 2 if op.signed else 1
-    total = 0
-    for j in range(k):
-        for w in range(h):
-            vectors = naive_vector_count(j, w, op) if w else 1
-            total += vectors * signs * (1 if op.restricted else h - w)
-            if total > cap:
-                return total
-    return total
+    return sum(naive_vector_count(k, w, op) for w in range(1, h + 1))
 
 
 def _sparse(k: int, h: int, op: Operator, half_width: int) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from signedsum import cli, verify
+from signedsum import SearchSpace, cli, verify
 from signedsum.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -202,6 +202,46 @@ REFUSED = [
                          ids=[argv for argv, _ in REFUSED])
 def test_window_refusal_bytes(capsys, argv, stderr):
     assert run_cli(capsys, *argv.split()) == (2, "", stderr)
+
+
+# The sweep and probe counterexample dump, byte for byte, with the bound
+# raised by 1 so that {1,3,5,7,9}, with 25 sums, falls below it: the text
+# or JSON summary (the JSON violations nest each record's structure), then
+# each counterexample in both forms.
+RAISED_SPACE = ('{"space": {"k": 5, "h": 4, "max_element": 10, '
+                '"family": "positive", "filter": null}, "bound": 26, ')
+ODD_AP_VIOLATION = ('{"set": [1, 3, 5, 7, 9], "cardinality": 25, '
+                    '"slack": -1, "equality": false, "structure": '
+                    '{"kind": "ODD_AP_DILATE", "d": 1}}')
+ODD_AP_DUMP = ('COUNTEREXAMPLE set={1,3,5,7,9}\n'
+               '{"counterexample": [1, 3, 5, 7, 9]}\n')
+DUMPED = [
+    ('sweep --k 5 --h 4 --max 10 --threads 1',
+     'visited: 252  bound: 26\n'
+     'min cardinality: 25\n'
+     'equality cases: 0  violations: 1\n' + ODD_AP_DUMP),
+    ('sweep --k 5 --h 4 --max 10 --threads 1 --json',
+     RAISED_SPACE + '"visited": 252, "min_cardinality": 25, '
+     '"equality_count": 0, "violation_count": 1, "equality_sets": [], '
+     f'"violations": [{ODD_AP_VIOLATION}]}}\n' + ODD_AP_DUMP),
+    ('probe --k 5 --h 4 --max 10 --trials 300 --seed 7',
+     'trials: 300  seed: 7  bound: 26\n'
+     'min slack: -1  equality cases: 0  violations: 2\n' + 2 * ODD_AP_DUMP),
+    ('probe --k 5 --h 4 --max 10 --trials 300 --seed 7 --json',
+     RAISED_SPACE + '"trials": 300, "seed": 7, "min_slack": -1, '
+     '"violation_count": 2, "violations": '
+     f'[{ODD_AP_VIOLATION}, {ODD_AP_VIOLATION}], '
+     '"equality_count": 0, "equality_sets": []}\n' + 2 * ODD_AP_DUMP),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", DUMPED,
+                         ids=[argv for argv, _ in DUMPED])
+def test_counterexample_dump_bytes(capsys, monkeypatch, argv, stdout):
+    raised = SearchSpace.bound
+    monkeypatch.setattr(SearchSpace, "bound", lambda self: raised(self)
+                        ._replace(value=raised(self).value + 1))
+    assert run_cli(capsys, *argv.split()) == (1, stdout, "")
 
 
 # A --set value that starts with a minus sign reaches its verb, as it does

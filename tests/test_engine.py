@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from signedsum import (Family, IntegerSet, Operator, SearchSpace, cli,
                        compute_sumset, compute_sumset_naive, dilate, engine,
                        make_set, search, sumset_cardinality)
-from signedsum.engine import (MAX_DP_BITS, _caps, _check_instance, _decode,
-                              _guard, _sparse, naive_vector_count,
-                              prefix_cardinalities, prefix_sumsets)
+from signedsum.engine import (MAX_DP_BITS, SPARSE_WEIGHT, _caps,
+                              _check_instance, _decode, _guard, _rows,
+                              _shift, _sparse, _sparse_cost,
+                              naive_vector_count, prefix_cardinalities,
+                              prefix_sumsets)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -137,22 +139,21 @@ class TestOracleAgreement:
                         assert fast.sums == slow.sums, (elements, h, op)
 
     def test_vector_count_matches_enumeration(self):
-        a = make_set([1, 2, 4, 9])
-        for op in Operator:
+        # every vector in [-h, h]^k, kept by each operator's own rule
+        admits = {
+            Operator.CLASSICAL: lambda lam: min(lam) >= 0,
+            Operator.RESTRICTED: lambda lam: set(lam) <= {0, 1},
+            Operator.SIGNED: lambda lam: True,
+            RS: lambda lam: set(lam) <= {-1, 0, 1},
+        }
+        for k in range(1, 7):
             for h in range(1, 5):
-                seen = 0
-                if op is Operator.CLASSICAL:
-                    seen = sum(1 for _ in itertools.combinations_with_replacement(
-                        a.elements, h))
-                elif op is Operator.RESTRICTED:
-                    seen = sum(1 for _ in itertools.combinations(a.elements, h))
-                elif op is RS:
-                    seen = sum(1 for _ in itertools.combinations(a.elements, h)) * 2**h
-                else:
-                    for lam in itertools.product(range(-h, h + 1), repeat=4):
-                        if sum(abs(c) for c in lam) == h:
-                            seen += 1
-                assert naive_vector_count(4, h, op) == seen, (op, h)
+                weighed = [lam for lam in itertools.product(
+                    range(-h, h + 1), repeat=k)
+                    if sum(map(abs, lam)) == h]
+                for op, admit in admits.items():
+                    seen = sum(1 for lam in weighed if admit(lam))
+                    assert naive_vector_count(k, h, op) == seen, (op, k, h)
 
 
 class TestStructuralProperties:
@@ -228,6 +229,20 @@ class TestWideShortSets:
             assert sumset_cardinality(a, h, op) == fast.cardinality
 
 
+def loop_cost(k, h, op, cap=None):
+    """The set-based DP's sums counted term by term, one (element, row,
+    coefficient) at a time: with a ``cap``, the count stops once past it."""
+    signs = 2 if op.signed else 1
+    total = 0
+    for j in range(k):
+        for w in range(h):
+            vectors = naive_vector_count(j, w, op) if w else 1
+            total += vectors * signs * (1 if op.restricted else h - w)
+            if cap is not None and total > cap:
+                return total
+    return total
+
+
 class TestBackendChoice:
     def test_wide_short_set_takes_the_set_based_dp(self):
         a = make_set(WIDE_SHORT_SETS[0])  # an odd-AP dilate 8-set near 10^6
@@ -250,6 +265,56 @@ class TestBackendChoice:
         cli.main(["reproduce", target])
         capsys.readouterr()
         assert choices and not any(choices)
+
+    def test_cost_is_the_term_by_term_count(self):
+        for op in Operator:
+            for k in range(1, 16):
+                for h in range(1, (k if op.restricted else k + 6) + 1):
+                    assert _sparse_cost(k, h, op) == loop_cost(k, h, op), (
+                        op, k, h)
+
+    def test_capped_count_chooses_as_the_full_one(self):
+        # a count cut short above k * MAX_DP_BITS // SPARSE_WEIGHT, on sets
+        # the range guard admits, long and narrow ones among them
+        rng = random.Random(43)
+        chosen, past_cap, admitted = set(), 0, 0
+        while admitted < 2000:
+            op = rng.choice(list(Operator))
+            k = rng.randint(1, 12) if rng.random() < 0.5 else rng.randint(
+                20, 400)
+            span = max(k, rng.choice([k, 2 * k, 3 * k, 10 * k, 10**3, 10**4,
+                                      10**6]))
+            a = make_set(rng.sample(range(1, span + 1), k))
+            h = rng.randint(1, k if op.restricted else min(k + 6, 30))
+            try:
+                half_width = _check_instance(a, h, op)
+            except ValueError:
+                continue
+            admitted += 1
+            cap = k * MAX_DP_BITS // SPARSE_WEIGHT
+            cost = loop_cost(k, h, op, cap)
+            past_cap += cost > cap
+            capped = (SPARSE_WEIGHT * cost
+                      < (h + 1) * k * (2 * half_width + 1))
+            assert _sparse(k, h, op, half_width) == capped, (a, h, op)
+            chosen.add(capped)
+        assert chosen == {False, True} and past_cap > 500
+
+    def test_set_based_dp_forms_at_most_the_cost(self):
+        rng = random.Random(53)
+        for _ in range(3000):
+            a = make_set(rng.sample(range(-12, 25), rng.randint(1, 8)))
+            op = rng.choice(list(Operator))
+            h = rng.randint(1, a.k if op.restricted else a.k + 3)
+            formed = []
+
+            def counting(row, delta, signed):
+                formed.append(len(row) * (2 if signed else 1))
+                return _shift(row, delta, signed)
+
+            _rows(a.elements, h, not op.restricted, op.signed, a.k,
+                  frozenset((0,)), counting)
+            assert sum(formed) <= _sparse_cost(a.k, h, op), (a, h, op)
 
 
 class TestPrefixSumsetCardinality:

@@ -14,8 +14,11 @@ alternates from pair to pair. For each end-to-end metric it prints the
 parent's median and quartiles, the change's median, the change's wins out
 of the pairs (by the metric's ``better``; ties count for neither side),
 whether the medians differ by more than the parent's interquartile range,
-and whether the change's median is within the metric's ``bound``, a
-fraction of the parent's median. Failed runs are reported on stderr.
+whether the change's median is within the metric's ``bound``, a fraction
+of the parent's median, and whether the metric is unresolved: the
+parent's interquartile range is wider than ``bound`` times its median,
+and not every change run beats every parent run, so the runs spread too
+widely to tell. Failed runs are reported on stderr.
 
 It exits 1 if a median is worse than the parent's by more than its
 bound, or if any run fails, is not correct or reports failed operations;
@@ -68,12 +71,15 @@ def report(workload: str, metric: dict, pairs: list[tuple[dict, dict]]
     bound = metric["bound"]
     limit = median * (1 + bound if lower else 1 - bound)
     within = changed <= limit if lower else changed >= limit
+    apart = max(after) < min(before) if lower else min(after) > max(before)
+    unresolved = q3 - q1 > bound * median and not apart
     print(f"{workload} {name} ({metric['unit']}, {metric['better']} is "
           f"better): parent median {median:.6g} (quartiles {q1:.6g}-"
           f"{q3:.6g}), change median {changed:.6g}, change wins {wins} of "
           f"{len(pairs)}, medians differ by more than the parent's IQR: "
           f"{'yes' if abs(changed - median) > q3 - q1 else 'no'}, "
-          f"within bound {bound}: {'yes' if within else 'no'}")
+          f"within bound {bound}: {'yes' if within else 'no'}, "
+          f"unresolved: {'yes' if unresolved else 'no'}")
     return within
 
 
