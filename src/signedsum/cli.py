@@ -17,6 +17,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import nullcontext
 
 from . import bounds, reproduce
 from .engine import Operator, compute_sumset
@@ -183,17 +184,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         family=Family(args.family),
                         filter_id="primitive" if args.primitive_only else None)
     space.admit(args.budget)  # before the CSV path is opened
-    csv_fh = None
-    if args.csv is not None:
-        csv_fh = sys.stdout if args.csv == "-" else open(args.csv, "w")
-        print(CSV_HEADER, file=csv_fh)
-    try:
+    with (nullcontext() if args.csv is None
+          else nullcontext(sys.stdout) if args.csv == "-"
+          else open(args.csv, "w")) as csv_fh:
+        if csv_fh is not None:
+            print(CSV_HEADER, file=csv_fh)
         summary = sweep(space, budget=args.budget, workers=args.threads,
                         emit=args.emit,
                         csv_sink=None if csv_fh is None else csv_fh.write)
-    finally:
-        if csv_fh is not None and csv_fh is not sys.stdout:
-            csv_fh.close()
     return _finish(args.json, summary.to_dict(), [
         f"visited: {summary.visited}  bound: {space.bound().value}",
         f"min cardinality: {summary.min_cardinality}",

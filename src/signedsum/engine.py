@@ -32,12 +32,14 @@ run one ``_pass``, the one place that guards an instance, chooses its
 backend and moves its rows, and each reads row h. ``_pass`` takes the
 cheaper backend. The bitset DP offers k elements to h + 1 rows of
 2 * half_width + 1 bits; the set-based DP forms at most
-``_sparse_cost(k, h, op)`` sums, the number of admissible coefficient
-vectors of weight 1 to h, cached per (k, h, op). The set-based DP is
-taken when ``SPARSE_WEIGHT`` (3,000, measured, see its comment) times
-that count is below the bitset's bits. The range guard runs first and
-still sizes every instance by its bitmap, so the same inputs are refused
-whichever backend would run.
+``_vector_count(k, h, op)`` sums, the number of admissible coefficient
+vectors of weight 1 to h counted by support size, cached per (k, h, op).
+That count at h less that at h - 1 is the naive oracle's work
+(``naive_vector_count``). The set-based DP is taken when
+``SPARSE_WEIGHT`` (3,000, measured, see its comment) times that count is
+below the bitset's bits. The range guard runs first and still sizes
+every instance by its bitmap, so the same inputs are refused whichever
+backend would run.
 ``prefix_sumsets`` has the pass keep row h of the set's h + 1 smallest
 elements on the way through, so a set and its prefix cost one DP, for
 their sizes or for their sums.
@@ -81,14 +83,14 @@ MAX_DP_BITS = 2**30  # 128 MiB across the h + 1 weight rows
 NAIVE_VECTOR_LIMIT = 10**8
 # How many bits offered by the bitset DP cost as much as one sum formed by
 # the set-based DP, its sums counted as the number of admissible
-# coefficient vectors of weight 1 to h (``_sparse_cost``). Measured on 840
-# sets (k 3 to 10, h 1 to 6, all four operators, elements drawn from
-# [1, s * k] for s from 3 to 30,000) on a 2-vCPU Xeon with Python 3.11:
-# choosing by this weight took 229 ms for all their cardinalities, against
-# 224 ms for the faster backend each time and 568 ms for the bitset alone
-# (full sumsets: 461, 456 and 1,092 ms). Weights from 2,000 to 3,000 did
-# as well; 1,000 and 5,000 took 260 and 252 ms. No reproduce call has more
-# than 59 bits per bounded sum.
+# coefficient vectors of weight 1 to h, counted by support size
+# (``_vector_count``). Measured on 840 sets (k 3 to 10, h 1 to 6, all four
+# operators, elements drawn from [1, s * k] for s from 3 to 30,000) on a
+# 2-vCPU Xeon with Python 3.11: choosing by this weight took 229 ms for all
+# their cardinalities, against 224 ms for the faster backend each time and
+# 568 ms for the bitset alone (full sumsets: 461, 456 and 1,092 ms).
+# Weights from 2,000 to 3,000 did as well; 1,000 and 5,000 took 260 and
+# 252 ms. No reproduce call has more than 59 bits per bounded sum.
 SPARSE_WEIGHT = 3000
 
 
@@ -264,17 +266,29 @@ def _decode(bitmap: int, half_width: int) -> list[int]:
 
 
 @lru_cache(maxsize=1024)
-def _sparse_cost(k: int, h: int, op: Operator) -> int:
-    """An upper bound on the sums the set-based DP forms on a k-set at fold
-    h: the number of admissible coefficient vectors of weight 1 to h.
+def _vector_count(k: int, h: int, op: Operator) -> int:
+    """The number of admissible coefficient vectors of weight 1 to h on a
+    k-set, counted by support size; an upper bound on the sums the
+    set-based DP forms at fold h.
 
-    Before element j + 1 is offered, row w holds at most one sum per
-    admissible vector of weight w on the first j elements, and the DP
-    moves it once per coefficient c != 0 that element j + 1 may take with
-    weight w + |c| <= h. Each such (vector, c) is one admissible vector
-    of weight w + |c| on the first j + 1 elements whose last non-zero
-    coefficient is c, on element j + 1, and splitting every vector of
-    weight 1 to h at its last non-zero coefficient gives each pair once.
+    A vector of weight 1 to h has s nonzero coefficients, 1 <= s <=
+    min(h, k), on one of C(k, s) supports. Under a restricted operator
+    each magnitude is 1. Otherwise the magnitudes are s positive integers
+    summing to at most h: add a slack part h - (their sum) >= 0, and stars
+    and bars counts the s + 1 parts summing to h + 1, all positive, in
+    C(h, s) ways. A signed operator gives each nonzero coefficient one of
+    2^s sign patterns. Summing the weights w = s to h of C(w - 1, s - 1),
+    the compositions of w into s parts, also gives C(h, s), so this is
+    the sum over weights 1 to h of the vectors of each weight.
+
+    That sum bounds the DP's sums. Before element j + 1 is offered, row w
+    holds at most one sum per admissible vector of weight w on the first j
+    elements, and the DP moves it once per coefficient c != 0 that element
+    j + 1 may take with weight w + |c| <= h. Each such (vector, c) is one
+    admissible vector of weight w + |c| on the first j + 1 elements whose
+    last non-zero coefficient is c, on element j + 1, and splitting every
+    vector of weight 1 to h at its last non-zero coefficient gives each
+    pair once.
 
     The count needs no cap. Above ``k * MAX_DP_BITS // SPARSE_WEIGHT``
     ``_sparse`` takes the bitset on every instance the range guard admits,
@@ -286,13 +300,14 @@ def _sparse_cost(k: int, h: int, op: Operator) -> int:
     the bound is about twice loose. It is kept so: ``SPARSE_WEIGHT`` was
     measured against this count, and the backend choice stays as it was.
     """
-    return sum(naive_vector_count(k, w, op) for w in range(1, h + 1))
+    return sum(comb(k, s) * (1 if op.restricted else comb(h, s))
+               * (2**s if op.signed else 1) for s in range(1, min(h, k) + 1))
 
 
 def _sparse(k: int, h: int, op: Operator, half_width: int) -> bool:
     """Whether the set-based DP is the cheaper one: the bitset DP offers
     each of the k elements to h + 1 rows of 2 * half_width + 1 bits."""
-    return (SPARSE_WEIGHT * _sparse_cost(k, h, op)
+    return (SPARSE_WEIGHT * _vector_count(k, h, op)
             < (h + 1) * k * (2 * half_width + 1))
 
 
@@ -597,15 +612,9 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
 # --- naive oracle -----------------------------------------------------------
 
 def naive_vector_count(k: int, h: int, op: Operator) -> int:
-    """Number of admissible coefficient vectors, the naive path's work."""
-    if op is Operator.CLASSICAL:
-        return comb(k + h - 1, h)
-    if op is Operator.RESTRICTED:
-        return comb(k, h)
-    if op is Operator.RESTRICTED_SIGNED:
-        return comb(k, h) * 2**h
-    return sum(comb(k, s) * comb(h - 1, s - 1) * 2**s
-               for s in range(1, min(h, k) + 1))
+    """Number of admissible coefficient vectors of weight h >= 1, the naive
+    path's work: those of weight 1 to h less those of weight 1 to h - 1."""
+    return _vector_count(k, h, op) - _vector_count(k, h - 1, op)
 
 
 def _signed_support_sums(support: tuple[int, ...], h: int) -> list[int]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from signedsum import SearchSpace, cli, verify
+from signedsum import SearchSpace, cli, reproduce, verify
 from signedsum.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -579,6 +579,28 @@ class TestSweepCommand:
             2, "", f"error: --threads must be at least 1, got {threads}\n")
         assert path.read_text() == "kept\n"
 
+    def test_csv_file_is_closed_when_the_sweep_fails(self, tmp_path, capsys,
+                                                      monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        monkeypatch.setattr(cli, "sweep", crash)
+        path = tmp_path / "out.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--k", "4", "--h", "3",
+                               "--max", "10", "--threads", "1",
+                               "--csv", str(path))
+        assert (code, out) == (cli.EXIT_INTERNAL_ERROR, "")
+        assert [fh.closed for fh in opened] == [True]
+        assert path.read_text() == (
+            "set;cardinality;slack;equality;structure_kind;d\n")
+
     def test_unwritable_csv_path_exits_2(self, tmp_path, capsys):
         path = tmp_path / "no-such-dir" / "out.csv"
         code, out, err = run_cli(capsys, "sweep", "--k", "4", "--h", "3",
@@ -716,6 +738,11 @@ class TestReproduceCommand:
     def test_unknown_target_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "no-such-target")
         assert code == 2
+
+    def test_library_refuses_an_unknown_target(self):
+        # argparse's choices keep the CLI from reaching this refusal
+        with pytest.raises(ValueError, match="^unknown target 'nope'$"):
+            reproduce.run_target("nope")
 
 
 class TestInternalError:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from signedsum import (Family, IntegerSet, Operator, SearchSpace, cli,
                        make_set, search, sumset_cardinality)
 from signedsum.engine import (MAX_DP_BITS, SPARSE_WEIGHT, _caps,
                               _check_instance, _decode, _guard, _rows,
-                              _shift, _sparse, _sparse_cost,
+                              _shift, _sparse, _vector_count,
                               naive_vector_count, prefix_cardinalities,
                               prefix_sumsets)
 
@@ -146,14 +147,37 @@ class TestOracleAgreement:
             Operator.SIGNED: lambda lam: True,
             RS: lambda lam: set(lam) <= {-1, 0, 1},
         }
-        for k in range(1, 7):
-            for h in range(1, 5):
-                weighed = [lam for lam in itertools.product(
-                    range(-h, h + 1), repeat=k)
-                    if sum(map(abs, lam)) == h]
-                for op, admit in admits.items():
-                    seen = sum(1 for lam in weighed if admit(lam))
-                    assert naive_vector_count(k, h, op) == seen, (op, k, h)
+        cases = [(k, h) for k in range(1, 7) for h in range(1, 5)]
+        cases += [(k, h) for k in range(1, 5) for h in (5, 6)]
+        for k, h in cases:
+            weights = {}
+            for lam in itertools.product(range(-h, h + 1), repeat=k):
+                w = sum(map(abs, lam))
+                if 1 <= w <= h:
+                    weights.setdefault(w, []).append(lam)
+            for op, admit in admits.items():
+                seen = [sum(1 for lam in weights.get(w, ()) if admit(lam))
+                        for w in range(1, h + 1)]
+                assert naive_vector_count(k, h, op) == seen[-1], (op, k, h)
+                assert _vector_count(k, h, op) == sum(seen), (op, k, h)
+
+    def test_vector_count_identities(self):
+        for k in range(1, 31):
+            for h in range(1, 41):
+                # Vandermonde: sum over s of C(k, s) C(h, s) = C(k + h, h)
+                assert (_vector_count(k, h, Operator.CLASSICAL)
+                        == comb(k + h, h) - 1), (k, h)
+                # the paper's count of restricted signed vectors
+                assert naive_vector_count(k, h, RS) == comb(k, h) * 2**h, (
+                    k, h)
+
+    def test_restricted_counts_stop_at_k(self):
+        for op in (Operator.RESTRICTED, RS):
+            for k in range(1, 16):
+                for h in range(k + 1, k + 6):
+                    assert naive_vector_count(k, h, op) == 0, (op, k, h)
+                    assert _vector_count(k, h, op) == _vector_count(
+                        k, k, op), (op, k, h)
 
 
 class TestStructuralProperties:
@@ -270,7 +294,7 @@ class TestBackendChoice:
         for op in Operator:
             for k in range(1, 16):
                 for h in range(1, (k if op.restricted else k + 6) + 1):
-                    assert _sparse_cost(k, h, op) == loop_cost(k, h, op), (
+                    assert _vector_count(k, h, op) == loop_cost(k, h, op), (
                         op, k, h)
 
     def test_capped_count_chooses_as_the_full_one(self):
@@ -314,7 +338,7 @@ class TestBackendChoice:
 
             _rows(a.elements, h, not op.restricted, op.signed, a.k,
                   frozenset((0,)), counting)
-            assert sum(formed) <= _sparse_cost(a.k, h, op), (a, h, op)
+            assert sum(formed) <= _vector_count(a.k, h, op), (a, h, op)
 
 
 class TestPrefixSumsetCardinality:

@@ -111,6 +111,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="budget exceeded"):
             sweep(space_h4_positive(), budget=1000)
 
+    def test_unknown_emit_mode_refused_before_admission(self, monkeypatch):
+        monkeypatch.setattr(SearchSpace, "shard_keys",
+                            lambda self: pytest.fail("shard heads built"))
+        # over budget, yet the emit mode is what the sweep reports
+        with pytest.raises(ValueError,
+                           match="^unknown emit mode 'nope'$"):
+            sweep(space_h4_positive(), budget=1000, emit="nope")
+
     def test_dp_size_refused_before_any_shard(self, monkeypatch):
         monkeypatch.setattr(SearchSpace, "shard_keys",
                             lambda self: pytest.fail("shard heads built"))
