@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from . import bounds, reproduce
 from .engine import Operator, compute_sumset
@@ -226,7 +227,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0 if not failed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The CLI's parser and its ``sweep`` subparser, built once per
+    process; ``build_parser`` sets the sweep's defaults."""
     parser = argparse.ArgumentParser(
         prog="signedsum",
         description="Sumset operators, cardinality bounds, and "
@@ -241,20 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true",
                    help="list every sum, not just the cardinality")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sumset)
 
     p = sub.add_parser("bounds", help="bound catalogue at (h, k)")
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("check", help="run one theorem checker on a set")
     _add_set_arguments(p)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--theorem", choices=tuple(CHECKS), required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("sweep", help="exhaustive sweep over a search space")
     p.add_argument("--k", type=int, required=True)
@@ -266,16 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=EMIT_MODES, default="interesting")
     p.add_argument("--csv", help="write records as CSV to a path, or - for stdout")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int)
     p.add_argument("--primitive-only", action="store_true",
                    help="skip sets whose elements share a common factor")
-    # argparse converts a string default, and so rejects a malformed
-    # SUMSET_BUDGET, only when this verb is parsed
     p.add_argument("--budget", type=int,
-                   default=os.environ.get("SUMSET_BUDGET", DEFAULT_BUDGET),
                    help="refuse spaces larger than this many sets "
                         "(env SUMSET_BUDGET overrides the default)")
-    p.set_defaults(func=cmd_sweep)
+    sweep_parser = p
 
     p = sub.add_parser("probe", help="seeded random sampling of a search space")
     p.add_argument("--k", type=int, required=True)
@@ -287,12 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True,
                    help="explicit seed; there is no wall-clock default")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("reproduce", help="run a named verification target")
     p.add_argument("target", choices=sorted(reproduce.TARGETS))
-    p.set_defaults(func=cmd_reproduce)
 
+    return parser, sweep_parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, the same object on every call (``_parsers``).
+
+    The sweep's ``--threads`` and ``--budget`` defaults read the CPU count
+    and ``SUMSET_BUDGET``, so each call sets them afresh. argparse converts
+    a string default, and so rejects a malformed ``SUMSET_BUDGET``, only
+    when the sweep verb is parsed.
+    """
+    parser, sweep_parser = _parsers()
+    sweep_parser.set_defaults(
+        threads=os.cpu_count() or 1,
+        budget=os.environ.get("SUMSET_BUDGET", DEFAULT_BUDGET))
     return parser
 
 
@@ -313,9 +324,11 @@ EXIT_PIPE_CLOSED = 141
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, by its handler ``cmd_<verb>``, looked up at each
+    call."""
     args = _parse_args(build_parser(), argv)
     try:
-        code = args.func(args)
+        code = globals()["cmd_" + args.verb](args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code
     except BrokenPipeError:  # an OSError, so it is caught first

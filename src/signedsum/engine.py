@@ -46,17 +46,20 @@ their sizes or for their sums.
 
 Sweeps use the bitset backend alone. The walk extends each shared
 prefix's rows once instead of rerunning the DP for every candidate, and
-yields one run per parent of leaves, ``(prefix, first, counts)``, in
+yields one run per parent of leaves, ``(prefix, below, row, leaves)``, in
 place of one ``(candidate, cardinality)`` pair per leaf: the leaves are
-``prefix + (first + i,)``, counted in one list, and no tuple is built
-for them. Below the head, whose rows ``_rows`` builds, the walk packs a
-prefix's rows into one int, so a child is one shift-or of its parent
-(``_child``) rather than a loop over rows. Only the walk packs, where
-each prefix has many children. One wide set loses by it, as every shift
-moves every row: for the 20 elements 2.4 * 10^6 + 1000 i at h = 10
-(1.06 * 10^9 bits of rows), a packed DP took 12.9 s and 959 MiB of peak
-RSS against 1.56 s and 218 MiB for ``_rows`` (one process each, 2-vCPU
-Xeon, Python 3.11). Given a limit, the walk is branch
+``prefix + (a,)`` for a in the range ``leaves``, and ``below`` and
+``row`` are the prefix's rows h - 1 and h, from which a leaf's count is
+one shift-or and a ``bit_count`` (``leaf_counts``). So the walk forms no
+tuple and no count for a leaf, and a caller that takes every leaf counts
+each one where it uses it. Below the head, whose rows ``_rows`` builds,
+the walk packs a prefix's rows into one int, so a child is one shift-or
+of its parent (``_child``) rather than a loop over rows. Only the walk
+packs, where each prefix has many children. One wide set loses by it, as
+every shift moves every row: for the 20 elements 2.4 * 10^6 + 1000 i at
+h = 10 (1.06 * 10^9 bits of rows), a packed DP took 12.9 s and 959 MiB of
+peak RSS against 1.56 s and 218 MiB for ``_rows`` (one process each,
+2-vCPU Xeon, Python 3.11). Given a limit, the walk is branch
 and bound: it skips every prefix whose completions must all have more
 sums than the limit, by two floors proved in its docstring. The first
 adds 2h sums per element still to come to the prefix's own sumset, and
@@ -153,9 +156,12 @@ def _guard(h: int, k: int, restricted: bool, half_width: int) -> None:
 
 
 def _check_instance(a: IntegerSet, h: int, op: Operator) -> int:
-    """Validate (A, h, op) and return the bitmap half-width."""
+    """Validate (A, h, op) and return the bitmap half-width: a bound on
+    |s| for every sum s of weight at most h. Under a restricted operator
+    such a sum has at most h terms, each a distinct element, so it is the
+    sum of the h largest |a_i|; otherwise h times the largest."""
     if op.restricted:
-        half_width = sum(abs(x) for x in a.elements)
+        half_width = sum(sorted(map(abs, a.elements))[-h:])
     else:
         half_width = h * max(abs(x) for x in a.elements)
     _guard(h, a.k, op.restricted, half_width)
@@ -400,16 +406,18 @@ def prefix_cardinalities(
     The candidates are ``head`` followed by increasing elements in
     ``(head[-1], max_element]``, or in ``[1, max_element]`` when ``head``
     is empty, in lexicographic order, and the cardinality is that of the
-    restricted signed sumset. They come as one run ``(prefix, first,
-    counts)`` per parent of leaves: the candidates ``prefix + (first + i,)``
-    have ``counts[i]`` sums, and no run is empty. A whole ``head`` is one
-    run of one. The walk is depth first and keeps the DP rows
+    restricted signed sumset. They come as one run ``(prefix, below, row,
+    leaves)`` per parent of leaves: the candidates are ``prefix + (a,)``
+    for a in the range ``leaves``, ``below`` and ``row`` are the prefix's
+    rows h - 1 and h, and :func:`leaf_counts` gives each candidate's
+    count. No run is empty. A whole ``head`` is one run, of its last
+    element alone. The walk is depth first and keeps the DP rows
     of each prefix, so a prefix shared by many candidates is processed
     once. Every bitmap sits at the fixed offset ``h * max_element``, which
     bounds every partial sum in the space, so the range guard runs once,
     in :func:`admit_walk`, rather than once per candidate. Rows that can no
-    longer reach weight h are dropped, and at the last element only row h
-    is formed.
+    longer reach weight h are dropped, and a leaf forms only row h, when
+    its count is taken.
 
     With a ``limit``, the walk is branch and bound. A prefix ``A_j`` longer
     than ``head``, of j elements, is not extended, and none of its
@@ -452,16 +460,28 @@ def prefix_cardinalities(
     They are positive, and the all-minus sums are their negatives, so
     ``|Y| >= 2(w(m - w) + 1)``. Neither proof uses anything from the paper.
     """
-    dp = _rows(head, h, False, True, k, 1 << admit_walk(h, k, max_element))
+    seed = 1 << admit_walk(h, k, max_element)
+    if len(head) == k:  # a whole set: the run of its last element alone
+        dp = _rows(head[:-1], h, False, True, k, seed)
+        return iter([(head[:-1], dp[h - 1], dp[h],
+                      range(head[-1], head[-1] + 1))])
+    dp = _rows(head, h, False, True, k, seed)
     return _extend(head, dp, h, max_element, k,
                    ((),) * (k + 1) if limit is None else _caps(h, k, limit))
 
 
 # entry j: the (row, cap) pairs checked on a child prefix of j elements
 Caps = tuple[tuple[tuple[int, int], ...], ...]
-# (prefix, first, counts): the sets prefix + (first + i,), each with the
-# size of its sumset, counts[i]
-Run = tuple[tuple[int, ...], int, list[int]]
+# (prefix, below, row, leaves): the sets prefix + (a,) for a in leaves, the
+# prefix's rows h - 1 and h being below and row (see leaf_counts)
+Run = tuple[tuple[int, ...], int, int, range]
+
+
+def leaf_counts(run: Run) -> list[int]:
+    """The size of each leaf's sumset in a run, in the order of its leaves:
+    a leaf a forms only row h, ``_step(dp, a, ..., h)[h]``."""
+    _, below, row, leaves = run
+    return [(below << a | below >> a | row).bit_count() for a in leaves]
 
 
 @lru_cache(maxsize=256)
@@ -526,14 +546,6 @@ def _child(state: int, src: int, a: int, width: int, mask: int) -> int:
     return (state | src << width + a | src << width - a) & mask
 
 
-def _counts(below: int, row: int, first: int, max_element: int) -> list[int]:
-    """Row h's size for each leaf ``a`` in ``[first, max_element]`` of a
-    parent whose rows h - 1 and h are ``below`` and ``row``: a leaf forms
-    only row h, ``_step(dp, a, ..., h)[h]``."""
-    return [(below << a | below >> a | row).bit_count()
-            for a in range(first, max_element + 1)]
-
-
 def _admitted(state: int, pairs: tuple[tuple[int, int], ...],
               elements: range, width: int, row_mask: int) -> Iterable[int]:
     """The ``elements`` whose child of the prefix with packed rows ``state``
@@ -563,17 +575,16 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
     at once, before any is formed, from rows unpacked for the check, and
     a child none of whose own children is admitted is not kept. A parent
     of leaves is never packed: its rows h - 1 and h are formed from three
-    rows of its parent, and its leaves are counted at once. The walk keeps
+    rows of its parent and yielded with the range of its leaves, which
+    the caller counts. The walk keeps
     a stack with one frame per depth, ``(prefix, state, iterator over the
     admitted elements still to try next)``, rather than recursing, so k is
     not bounded by Python's recursion limit.
     """
     start = head[-1] + 1 if head else 1
-    if len(head) >= k - 1:
-        if len(head) == k:
-            yield head[:-1], head[-1], [dp[h].bit_count()]
-        elif start <= max_element:
-            yield head, start, _counts(dp[h - 1], dp[h], start, max_element)
+    if len(head) == k - 1:
+        if start <= max_element:
+            yield head, dp[h - 1], dp[h], range(start, max_element + 1)
         return
     width, row_mask, lower, keep = _layout(h, k, max_element)
     state = _pack(dp, width)
@@ -590,9 +601,9 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
             one = state >> (h - 1) * width & row_mask
             row = state >> h * width
             for a in elements:
-                yield prefix + (a,), a + 1, _counts(
-                    one | two << a | two >> a, row | one << a | one >> a,
-                    a + 1, max_element)
+                yield (prefix + (a,), one | two << a | two >> a,
+                       row | one << a | one >> a,
+                       range(a + 1, max_element + 1))
             stack.pop()
             continue
         src, mask, pairs = state & lower, keep[j], caps[j + 1]

@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 from . import bounds
 from .bounds import Family
-from .engine import Operator, compute_sumset, prefix_cardinalities
+from .engine import (Operator, compute_sumset, leaf_counts,
+                     prefix_cardinalities)
 from .search import SearchSpace, sweep
 from .sets import IntegerSet
 from .verify import check_ap_iff, check_prefix_decomposition
@@ -138,7 +139,8 @@ def theorem11_small() -> list[TargetRow]:
                 equalities = 0
                 # the k-subsets of [1, 12], or {0} plus (k-1)-subsets of [1, 11]
                 m = 11 if zero_in_a else 12
-                for _, _, counts in prefix_cardinalities(family.fixed, h, m, k):
+                for run in prefix_cardinalities(family.fixed, h, m, k):
+                    counts = leaf_counts(run)
                     low = min(counts)
                     if low < bound:
                         violations += sum(card < bound for card in counts)

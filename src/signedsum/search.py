@@ -14,13 +14,18 @@ result; a worker that dies makes the sweep raise. Within a shard
 the engine walks the candidates depth first
 (:func:`~signedsum.engine.prefix_cardinalities`), extending the DP rows of
 each shared prefix once rather than rerunning the DP for every candidate,
-and yields the siblings below each parent as one run of cardinalities.
+and yields the siblings below each parent as one run: the parent's rows
+h - 1 and h and the range of the siblings' last elements. A shard takes
+each sibling in one pass (:func:`_sweep_shard`): it filters it, counts
+it, compares it with the minimum and the bound, and ships it and writes
+its CSV line, where the walk forms it. A pruned sweep first counts a run
+in one list and drops it unless a set in it is kept.
 A shard returns plain ``(candidate, cardinality)`` rows, so only ints and
 tuples of ints cross the process boundary, and each record is built once,
 in the parent, by :func:`_merge`, the one place where shipped rows become
 records, for sweeps and probes alike. A sweep that writes CSV has
-each shard format its own rows, straight from those pairs, and ship them
-as one string, so the parent builds records only for the summary.
+each shard format its own lines and ship them as one string, so the
+parent builds records only for the summary.
 
 Unless every record is emitted, the walk prunes: the parent measures one
 witness set of the space, and each shard skips every prefix whose
@@ -42,7 +47,7 @@ from math import comb, gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import BoundFormula, Family
-from .engine import admit_walk, prefix_cardinalities
+from .engine import admit_walk, leaf_counts, prefix_cardinalities
 from .sets import (NOT_STRUCTURED, IntegerSet, StructureClass,
                    classify_structure, common_difference, record_dict)
 
@@ -181,41 +186,6 @@ def _csv_columns(cardinality: int, slack: int, equality: bool,
                      "true" if equality else "false", structure.kind.value, d])
 
 
-def _csv_run(prefix: tuple[int, ...], leaves: list[tuple[int, int]],
-             bound_value: int, unstructured: dict[int, str],
-             names: list[str]) -> str:
-    """The CSV lines of the siblings ``prefix + (a,)`` for the ``(a,
-    cardinality)`` pairs ``leaves``, in order, in ``CSV_HEADER``'s format
-    (the set, then :func:`_csv_columns`), each ending in a newline.
-
-    The text of the shared prefix is formed once, and each element's text
-    is looked up in ``names``, where ``names[x]`` is ``str(x)``. Only an
-    arithmetic progression is classified other than NONE, so a sibling is
-    classified only when the prefix is a progression and the sibling
-    extends it. The columns of the rest depend on the cardinality alone
-    and are formed once per cardinality, into ``unstructured``, which the
-    caller keeps across runs. Every candidate of a search space has at
-    least four elements.
-    """
-    head = ",".join([names[x] for x in prefix]) + ","
-    step = common_difference(prefix)
-    ap_last = None if step is None else prefix[-1] + step
-    lines = []
-    for a, card in leaves:
-        if a == ap_last:
-            structure = classify_structure(IntegerSet(prefix + (a,)))
-            columns = _csv_columns(card, card - bound_value, card == bound_value,
-                                   structure)
-        else:
-            columns = unstructured.get(card)
-            if columns is None:
-                columns = unstructured[card] = _csv_columns(
-                    card, card - bound_value, card == bound_value,
-                    NOT_STRUCTURED)
-        lines.append(f"{head}{names[a]};{columns}\n")
-    return "".join(lines)
-
-
 def _summary_dict(summary: SweepSummary | ProbeSummary) -> dict:
     """The JSON form of a sweep or probe summary: its space's dict and
     bound, then its other fields in field order but ``measured``, with
@@ -266,7 +236,7 @@ def _prune_limit(space: SearchSpace) -> int:
         witness = tuple(range(1, 2 * k, 2))
     else:
         witness = tuple(range(1, k + 1))
-    [(_, _, [card])] = prefix_cardinalities(witness, space.h, m, k)
+    [card] = leaf_counts(*prefix_cardinalities(witness, space.h, m, k))
     return max(space.bound().value, card)
 
 
@@ -275,14 +245,12 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
                  ) -> tuple[int | None, list[tuple[tuple[int, ...], int]], int,
                             str]:
     """Walk the candidates below each head of ``heads`` in turn; returns
-    (min_card, rows, measured, csv_text) over them all. The walk yields
-    the siblings below each parent as one run, and each run is taken
-    whole: one gcd, one minimum and one CSV prefix for all its sets.
+    (min_card, rows, measured, csv_text) over them all.
 
     A sweep shard has one head, its key; a probe passes its draws, each a
-    whole candidate, whose walk yields just that set's row. A candidate
-    that fails the primitive filter is walked but not measured, and
-    ``min_card`` is the least measured cardinality.
+    whole candidate, whose walk yields one run of that set alone. A
+    candidate that fails the primitive filter is walked but not measured,
+    and ``min_card`` is the least measured cardinality.
 
     One rule decides what a shard emits. With ``limit`` None every
     candidate is measured and emitted; otherwise the walk skips each
@@ -294,44 +262,92 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
     the emitted candidates when ``csv`` is set, and is empty otherwise.
     Only ints, tuples of ints and a string cross the process boundary;
     the records are built in the parent.
+
+    Each leaf of a run is taken in one pass: it is filtered, counted where
+    it is formed, compared with the least count so far and the bound, and
+    shipped and written as it is emitted. A pruned walk keeps few sets, so
+    with a ``limit`` a run is first counted whole, in one list, and
+    dropped at once when none of its sets is kept.
+
+    A CSV line is the text of the leaf's prefix, its own text and the
+    columns after ``set``. A prefix's text is its parent's, formed once
+    for all the prefixes that share that parent, and its last element's;
+    ``names[x]`` is ``str(x)``. Only an arithmetic progression is
+    classified other than NONE, so a leaf is classified only when its
+    prefix is a progression and the leaf extends it. A prefix is one when
+    its parent is, with the difference its last element adds: every
+    candidate of a search space has at least four elements, so a parent
+    has two or more, and its common difference is found once. The columns
+    of every other leaf depend on its count alone, and are formed once
+    per count.
     """
     space, heads, limit, records, csv = args
     bound_value = space.bound().value
     primitive = space.filter_id == "primitive"
     measured = 0
-    min_card: int | None = None
+    low = 2 * space.h * space.max_element + 2  # above any count
     rows: list[tuple[tuple[int, ...], int]] = []
-    text: list[str] = []
-    unstructured: dict[int, str] = {}
+    lines: list[str] = []
     names = [str(x) for x in range(space.max_element + 1)] if csv else []
+    columns: dict[int, str] = {}
+    parent = parent_text = parent_step = None
+    g, ap_last = 1, None
     for head in heads:
-        for prefix, first, counts in prefix_cardinalities(
-                head, space.h, space.max_element, space.k, limit):
-            leaves = None
-            # a sibling's gcd is gcd(g, a), with g the prefix's
-            if primitive and (g := gcd(*prefix)) != 1:
-                leaves = [(a, card) for a, card in enumerate(counts, first)
-                          if gcd(g, a) == 1]
-                if not leaves:
+        for run in prefix_cardinalities(head, space.h, space.max_element,
+                                        space.k, limit):
+            prefix, below, row, leaves = run
+            if primitive:
+                g = gcd(*prefix)  # a leaf's gcd is gcd(g, a)
+            if limit is not None:
+                counts = leaf_counts(run)
+                if g != 1:
+                    counts = [card for a, card in zip(leaves, counts)
+                              if gcd(g, a) == 1]
+                if not counts:
                     continue
-                counts = [card for _, card in leaves]
-            measured += len(counts)
-            low = min(counts)
-            if min_card is None or low < min_card:
-                min_card = low
-            if low > bound_value and limit is not None:
-                continue  # nothing here is kept, so nothing is emitted
-            if leaves is None:
-                leaves = list(enumerate(counts, first))
-            kept = ([(a, card) for a, card in leaves if card <= bound_value]
-                    if low <= bound_value else [])
-            emitted = leaves if limit is None else kept
-            rows += [(prefix + (a,), card)
-                     for a, card in (emitted if records else kept)]
+                least = min(counts)
+                if least > bound_value:  # nothing here is kept or emitted
+                    measured += len(counts)
+                    low = min(low, least)
+                    continue
             if csv:
-                text.append(_csv_run(prefix, emitted, bound_value,
-                                     unstructured, names))
-    return min_card, rows, measured, "".join(text)
+                if prefix[:-1] != parent:
+                    parent = prefix[:-1]
+                    parent_text = "".join([names[x] + "," for x in parent])
+                    parent_step = common_difference(parent)
+                last = prefix[-1]
+                text = parent_text + names[last] + ","
+                step = last - parent[-1]
+                ap_last = last + step if step == parent_step else None
+            measured += len(leaves)
+            for a in leaves:
+                if g != 1 and gcd(g, a) != 1:
+                    measured -= 1
+                    continue
+                card = (below << a | below >> a | row).bit_count()
+                if card < low:
+                    low = card
+                if card <= bound_value:
+                    rows.append((prefix + (a,), card))
+                elif limit is not None:
+                    continue
+                elif records:
+                    rows.append((prefix + (a,), card))
+                if csv:
+                    if a == ap_last:
+                        structure = classify_structure(
+                            IntegerSet(prefix + (a,)))
+                        tail = ";" + _csv_columns(
+                            card, card - bound_value, card == bound_value,
+                            structure) + "\n"
+                    else:
+                        tail = columns.get(card)
+                        if tail is None:
+                            tail = columns[card] = ";" + _csv_columns(
+                                card, card - bound_value, card == bound_value,
+                                NOT_STRUCTURED) + "\n"
+                    lines.append(text + names[a] + tail)
+    return low if measured else None, rows, measured, "".join(lines)
 
 
 def _merge(results: Iterable[tuple[int | None, list[tuple[tuple[int, ...],

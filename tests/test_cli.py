@@ -375,6 +375,17 @@ class TestSumsetCommand:
         assert run_cli(capsys, "sumset", *argv.split()) == (
             2, "", "error: range overflow\n")
 
+    def test_wide_short_restricted_set_is_sized_by_its_largest(self, capsys):
+        # the sum of all 40 elements, 1.2 * 10^9, would size 3 rows of
+        # 2.4 * 10^9 bits; every sum of 2 lies within +-60,000,077
+        elements = ",".join(str(30_000_000 + i) for i in range(40))
+        code, out, err = run_cli(capsys, "sumset", "--set", elements,
+                                 "--h", "2", "--op", "restricted-signed")
+        assert (code, err) == (0, "")
+        assert out.endswith("operator: restricted-signed  h: 2\n"
+                            "cardinality: 232\n"
+                            "min: -60000077  max: 60000077\n")
+
 
 class TestBoundsCommand:
     def test_plain_listing(self, capsys):
@@ -758,3 +769,46 @@ class TestInternalError:
         assert "COUNTEREXAMPLE" not in out
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("RuntimeError: simulated fault\n")
+
+
+class TestParserCache:
+    def test_the_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_each_call_reads_the_budget_and_cpu_count(self, capsys,
+                                                      monkeypatch):
+        seen = []
+        real = cli.sweep
+
+        def stub(space, *, budget, workers, **kwargs):
+            seen.append((budget, workers))
+            return real(space, budget=budget, workers=1, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep", stub)
+        argv = ("sweep", "--k", "5", "--h", "4", "--max", "10")
+        for budget, cpus in (("1000", 3), ("2000", 5), (None, None)):
+            if budget is None:
+                monkeypatch.delenv("SUMSET_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("SUMSET_BUDGET", budget)
+            monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), budget
+            assert "visited: 252" in out
+        assert seen == [(1000, 3), (2000, 5), (10**7, 1)]
+        # a malformed value is refused by the sweep alone, after good ones
+        monkeypatch.setenv("SUMSET_BUDGET", "abc")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: argument --budget: invalid int value: 'abc'\n")
+        assert run_cli(capsys, "sumset", "--set", "1,2,3", "--h", "2",
+                       "--op", "restricted")[:1] == (0,)
+        assert len(seen) == 3
+
+    def test_a_handler_patched_after_the_first_build_is_reached(
+            self, capsys, monkeypatch):
+        argv = ("sumset", "--set", "1,2,3", "--h", "2", "--op", "restricted")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "cmd_sumset", lambda args: 7)
+        assert run_cli(capsys, *argv) == (7, "", "")

@@ -10,7 +10,7 @@ from signedsum import (Family, IntegerSet, Operator, SearchSpace, cli,
                        make_set, search, sumset_cardinality)
 from signedsum.engine import (MAX_DP_BITS, SPARSE_WEIGHT, _caps,
                               _check_instance, _decode, _guard, _rows,
-                              _shift, _sparse, _vector_count,
+                              _shift, _sparse, _vector_count, leaf_counts,
                               naive_vector_count, prefix_cardinalities,
                               prefix_sumsets)
 
@@ -19,9 +19,9 @@ RS = Operator.RESTRICTED_SIGNED
 
 def walk(*args):
     """The ``(candidate, cardinality)`` pairs of the walk's runs, in order."""
-    return [(prefix + (a,), card)
-            for prefix, first, counts in prefix_cardinalities(*args)
-            for a, card in enumerate(counts, first)]
+    return [(run[0] + (a,), card)
+            for run in prefix_cardinalities(*args)
+            for a, card in zip(run[3], leaf_counts(run))]
 
 
 class TestRestrictedSigned:
@@ -105,6 +105,34 @@ class TestPreconditions:
         assert naive_vector_count(30, 15, RS) > 10**8
         with pytest.raises(ValueError, match="too large for oracle"):
             compute_sumset_naive(a, 15, RS)
+
+
+class TestRestrictedHalfWidth:
+    @pytest.mark.parametrize("op", [Operator.RESTRICTED, RS])
+    def test_bitset_rows_hold_every_sum_of_the_h_largest(self, op,
+                                                         monkeypatch):
+        # on the bitset DP, forced, with the half-width at the sum of the h
+        # largest |a_i|, for every h < k, negatives and 0 included
+        monkeypatch.setattr(engine, "_sparse", lambda *args: False)
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(200):
+            a = make_set(rng.sample(range(-60, 61), rng.randint(2, 8)))
+            for h in range(1, a.k):
+                half_width = _check_instance(a, h, op)
+                assert half_width == sum(sorted(abs(x)
+                                                for x in a.elements)[-h:])
+                fast = compute_sumset(a, h, op)
+                assert fast == compute_sumset_naive(a, h, op), (a, h, op)
+                if op is RS:  # the widest sum reaches the edge of the rows
+                    assert fast.max_sum == half_width
+                checked += 1
+        assert checked > 500
+
+    def test_unrestricted_operators_keep_h_times_the_largest(self):
+        a = make_set([-9, 2, 5])
+        for op in (Operator.CLASSICAL, Operator.SIGNED):
+            assert _check_instance(a, 4, op) == 36
 
 
 class TestOracleAgreement:
@@ -495,6 +523,18 @@ class TestPrefixWalk:
                 range(head[-1] + 1 if head else 1, 10), 4 - len(head))
             assert walked == [(head + t, sumset_cardinality(
                 IntegerSet(head + t), 3, RS)) for t in tails]
+
+    def test_whole_head_is_one_run_of_its_last_element(self):
+        # k = 1 as in theorem11-small, and every h up to k
+        for head, max_element in (((0,), 11), ((5,), 12), ((1, 4), 9),
+                                  ((0, 2, 5, 6), 9), ((2, 3, 5, 7, 11), 13)):
+            k = len(head)
+            for h in range(1, k + 1):
+                [run] = prefix_cardinalities(head, h, max_element, k)
+                assert run[0] == head[:-1]
+                assert list(run[3]) == [head[-1]]
+                assert leaf_counts(run) == [sumset_cardinality(
+                    IntegerSet(head), h, RS)], (head, h)
 
     def test_limit_prunes_only_subtrees_above_it(self):
         left_out = 0

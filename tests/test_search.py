@@ -514,6 +514,139 @@ class TestCsvSink:
                                               for r in records)
 
 
+def _reference_records(space, candidates):
+    """The record of each candidate, by the per-set DP and
+    ``classify_structure``, not by the walk."""
+    bound = space.bound().value
+    records = []
+    for candidate in candidates:
+        a = IntegerSet(candidate)
+        card = sumset_cardinality(a, space.h, Operator.RESTRICTED_SIGNED)
+        records.append(SearchRecord(a, card, card - bound, card == bound,
+                                    classify_structure(a)))
+    return records
+
+
+def _csv(records):
+    return "".join(r.to_csv_row() + "\n" for r in records)
+
+
+# (measured for emit all, interesting and none, as each of the last two
+# prunes; min cardinality; equality sets), as found before the leaf loop
+LEAF_LOOP_SPACES = {
+    (Family.POSITIVE, None): (5, 4, 12, (792, 329, 329), 25,
+                              [(1, 3, 5, 7, 9)]),
+    (Family.POSITIVE, "primitive"): (5, 4, 12, (786, 323, 323), 25,
+                                     [(1, 3, 5, 7, 9)]),
+    (Family.ZERO_BASED, None): (6, 4, 13, (1287, 23, 23), 29,
+                                [(0, 1, 2, 3, 4, 5), (0, 2, 4, 6, 8, 10)]),
+    (Family.ZERO_BASED, "primitive"): (6, 4, 13, (1281, 21, 21), 29,
+                                       [(0, 1, 2, 3, 4, 5)]),
+}
+
+
+class TestLeafLoop:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("emit", EMIT_MODES)
+    @pytest.mark.parametrize("family, filter_id", list(LEAF_LOOP_SPACES))
+    def test_csv_records_and_summary_match_the_per_set_dp(
+            self, family, filter_id, emit, workers):
+        k, h, m, measured, low, equal = LEAF_LOOP_SPACES[family, filter_id]
+        space = SearchSpace(k=k, h=h, max_element=m, family=family,
+                            filter_id=filter_id)
+        everything = _reference_records(space, enumerate_space(space))
+        expected = {"all": everything, "none": [],
+                    "interesting": [r for r in everything if r.slack <= 0]}
+        for consumers in ("records", "csv", "both"):
+            records, blocks = [], []
+            summary = sweep(
+                space, workers=workers, emit=emit,
+                on_record=records.append if consumers != "csv" else None,
+                csv_sink=blocks.append if consumers != "records" else None)
+            assert summary.min_cardinality == low
+            assert [r.set.elements for r in summary.equality_sets] == equal
+            assert summary.violations == []
+            assert summary.measured == measured[
+                ("all", "interesting", "none").index(emit)], consumers
+            if consumers != "csv":
+                assert records == expected[emit]
+            if consumers != "records":
+                assert "".join(blocks) == _csv(expected[emit])
+
+    def test_a_prefix_with_a_common_factor_keeps_its_coprime_leaves(self):
+        # (0, 2, 4, 6) has gcd 2: only its odd leaves are primitive, and
+        # its even leaf 8 would extend it as a progression
+        for filter_id, leaves in ((None, range(7, 13)),
+                                  ("primitive", (7, 9, 11))):
+            space = SearchSpace(k=5, h=4, max_element=12,
+                                family=Family.ZERO_BASED, filter_id=filter_id)
+            expected = _reference_records(
+                space, [(0, 2, 4, 6, a) for a in leaves])
+            min_card, rows, measured, text = search._sweep_shard(
+                (space, [(0, 2, 4, 6)], None, True, True))
+            assert rows == [(r.set.elements, r.cardinality) for r in expected]
+            assert measured == len(expected)
+            assert min_card == min(r.cardinality for r in expected)
+            assert text == _csv(expected)
+        # the same prefix reached by the walk from its shard's head
+        records = []
+        sweep(space, emit="all", on_record=records.append)
+        assert [r.set.elements for r in records
+                if r.set.elements[:4] == (0, 2, 4, 6)] == [
+            (0, 2, 4, 6, a) for a in (7, 9, 11)]
+
+    @pytest.mark.parametrize("family, head, kind", [
+        (Family.POSITIVE, (1, 3, 5, 7), StructureKind.ODD_AP_DILATE),
+        (Family.POSITIVE, (3, 9, 15, 21), StructureKind.ODD_AP_DILATE),
+        (Family.POSITIVE, (2, 3, 4, 5), StructureKind.GENERAL_AP),
+        (Family.POSITIVE, (2, 4, 6, 8), StructureKind.GENERAL_AP),
+        (Family.ZERO_BASED, (0, 1, 2, 3), StructureKind.ZERO_AP_DILATE),
+        (Family.ZERO_BASED, (0, 3, 6, 9), StructureKind.ZERO_AP_DILATE),
+        (Family.POSITIVE, (1, 2, 4, 8), StructureKind.NONE),
+    ])
+    def test_the_leaf_that_extends_a_progression_is_classified(
+            self, family, head, kind):
+        space = SearchSpace(k=5, h=4, max_element=30, family=family)
+        expected = _reference_records(
+            space, [head + (a,) for a in range(head[-1] + 1, 31)])
+        for records in (True, False):
+            min_card, rows, measured, text = search._sweep_shard(
+                (space, [head], None, records, True))
+            assert text == _csv(expected)
+            assert measured == len(expected)
+            assert rows == [(r.set.elements, r.cardinality) for r in expected
+                            if records or r.slack <= 0]
+        kinds = {r.structure.kind for r in expected}
+        assert kinds == {kind, StructureKind.NONE}
+
+    @pytest.mark.parametrize("filter_id", FILTER_IDS)
+    @pytest.mark.parametrize("family", list(Family))
+    def test_probe_heads_are_whole_candidates(self, family, filter_id):
+        space = SearchSpace(k=6, h=4, max_element=16, family=family,
+                            filter_id=filter_id)
+        rng = random.Random(3)
+        heads = [space.family.fixed
+                 + tuple(sorted(rng.sample(range(1, 17), space.free)))
+                 for _ in range(150)]
+        heads += [space.family.fixed + tuple(range(2, 2 * space.free + 1, 2))]
+        kept = [c for c in heads if filter_id is None or gcd(*c) == 1]
+        expected = _reference_records(space, kept)
+        assert len(kept) < len(heads) or filter_id is None
+        min_card, rows, measured, text = search._sweep_shard(
+            (space, heads, None, True, True))
+        assert rows == [(r.set.elements, r.cardinality) for r in expected]
+        assert measured == len(kept)
+        assert min_card == min(r.cardinality for r in expected)
+        assert text == _csv(expected)
+        # a probe measures its draws as one such shard
+        probe = random_probe(space, 150, 3)
+        draws = _reference_records(space, [
+            c for c in heads[:150] if filter_id is None or gcd(*c) == 1])
+        assert probe.measured == len(draws)
+        assert probe.equality_sets == [r for r in draws if r.equality]
+        assert probe.min_slack == min(r.slack for r in draws)
+
+
 def _every_small_space():
     """Both families, k 4..7, every h, the primitive filter, and M from
     the free count up: M < 2k-1 leaves the positive family with no
