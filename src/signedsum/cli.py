@@ -179,8 +179,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
     space = SearchSpace(k=args.k, h=args.h, max_element=args.max,
                         family=Family(args.family),
                         filter_id="primitive" if args.primitive_only else None)
@@ -190,7 +191,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           else open(args.csv, "w")) as csv_fh:
         if csv_fh is not None:
             print(CSV_HEADER, file=csv_fh)
-        summary = sweep(space, budget=args.budget, workers=args.threads,
+        summary = sweep(space, budget=args.budget, workers=threads,
                         emit=args.emit,
                         csv_sink=None if csv_fh is None else csv_fh.write)
     return _finish(args.json, summary.to_dict(), [
@@ -228,9 +229,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 @cache
-def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The CLI's parser and its ``sweep`` subparser, built once per
-    process; ``build_parser`` sets the sweep's defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; its defaults are
+    constants, and ``cmd_sweep`` reads the CPU count on each call."""
     parser = argparse.ArgumentParser(
         prog="signedsum",
         description="Sumset operators, cardinality bounds, and "
@@ -270,10 +271,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p.add_argument("--threads", type=int)
     p.add_argument("--primitive-only", action="store_true",
                    help="skip sets whose elements share a common factor")
-    p.add_argument("--budget", type=int,
-                   help="refuse spaces larger than this many sets "
-                        "(env SUMSET_BUDGET overrides the default)")
-    sweep_parser = p
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="refuse spaces larger than this many sets")
 
     p = sub.add_parser("probe", help="seeded random sampling of a search space")
     p.add_argument("--k", type=int, required=True)
@@ -289,21 +288,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p = sub.add_parser("reproduce", help="run a named verification target")
     p.add_argument("target", choices=sorted(reproduce.TARGETS))
 
-    return parser, sweep_parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, the same object on every call (``_parsers``).
-
-    The sweep's ``--threads`` and ``--budget`` defaults read the CPU count
-    and ``SUMSET_BUDGET``, so each call sets them afresh. argparse converts
-    a string default, and so rejects a malformed ``SUMSET_BUDGET``, only
-    when the sweep verb is parsed.
-    """
-    parser, sweep_parser = _parsers()
-    sweep_parser.set_defaults(
-        threads=os.cpu_count() or 1,
-        budget=os.environ.get("SUMSET_BUDGET", DEFAULT_BUDGET))
     return parser
 
 

@@ -164,7 +164,6 @@ def run_cli(capsys, *argv):
 def run_sweep_process(*argv, timeout):
     """Run ``signedsum sweep`` in a fresh interpreter at the default budget."""
     env = dict(os.environ)
-    env.pop("SUMSET_BUDGET", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -271,12 +270,11 @@ def test_negative_set_bytes(capsys, monkeypatch, argv, code, stdout, stderr):
     assert run_cli(capsys, *argv.split()) == (code, stdout, stderr)
 
 
-def test_every_grid_command_reaches_its_verb(capsys, monkeypatch):
+def test_every_grid_command_reaches_its_verb(capsys):
     spec = importlib.util.spec_from_file_location(
         "cli_grid", ROOT / "tools" / "cli_grid.py")
     cli_grid = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_grid)
-    monkeypatch.delenv("SUMSET_BUDGET", raising=False)
     parser = cli.build_parser()
     stopped = []
     for command in cli_grid.commands():
@@ -666,26 +664,20 @@ class TestSweepCommand:
         assert "visited: 1101  bound: 6592" in proc.stdout
         assert "min cardinality: 6595" in proc.stdout
 
-    def test_budget_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUMSET_BUDGET", "50")
-        code, _, err = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
-                               "--max", "20", "--threads", "1")
-        assert code == 2
-        assert "budget exceeded" in err
-
-    def test_malformed_budget_env_fails_only_the_sweep(self, capsys,
-                                                       monkeypatch):
-        monkeypatch.setenv("SUMSET_BUDGET", "abc")
-        code, out, err = run_cli(capsys, "sumset", "--set", "1,2,3",
-                                 "--h", "2", "--op", "restricted")
-        assert (code, err) == (0, "")
-        assert "cardinality: 3" in out
+    @pytest.mark.parametrize("value", ["50", "abc"])
+    def test_budget_env_is_ignored(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SUMSET_BUDGET", value)
         code, out, err = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
-                                 "--max", "10", "--threads", "1")
+                                 "--max", "20", "--threads", "1")
+        assert (code, err) == (0, "")
+        assert "visited: 15504" in out
+
+    def test_malformed_budget_flag_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
+                                 "--max", "10", "--budget", "abc")
         assert (code, out) == (2, "")
         assert err.endswith(
             "error: argument --budget: invalid int value: 'abc'\n")
-        assert "Traceback" not in err
 
     def test_primitive_only(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
@@ -775,8 +767,7 @@ class TestParserCache:
     def test_the_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_each_call_reads_the_budget_and_cpu_count(self, capsys,
-                                                      monkeypatch):
+    def test_each_call_reads_the_cpu_count(self, capsys, monkeypatch):
         seen = []
         real = cli.sweep
 
@@ -785,26 +776,13 @@ class TestParserCache:
             return real(space, budget=budget, workers=1, **kwargs)
 
         monkeypatch.setattr(cli, "sweep", stub)
-        argv = ("sweep", "--k", "5", "--h", "4", "--max", "10")
-        for budget, cpus in (("1000", 3), ("2000", 5), (None, None)):
-            if budget is None:
-                monkeypatch.delenv("SUMSET_BUDGET", raising=False)
-            else:
-                monkeypatch.setenv("SUMSET_BUDGET", budget)
+        for cpus in (3, 5, None):
             monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, err) == (0, ""), budget
+            code, out, err = run_cli(capsys, "sweep", "--k", "5", "--h", "4",
+                                     "--max", "10")
+            assert (code, err) == (0, ""), cpus
             assert "visited: 252" in out
-        assert seen == [(1000, 3), (2000, 5), (10**7, 1)]
-        # a malformed value is refused by the sweep alone, after good ones
-        monkeypatch.setenv("SUMSET_BUDGET", "abc")
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.endswith(
-            "error: argument --budget: invalid int value: 'abc'\n")
-        assert run_cli(capsys, "sumset", "--set", "1,2,3", "--h", "2",
-                       "--op", "restricted")[:1] == (0,)
-        assert len(seen) == 3
+        assert seen == [(10**7, 3), (10**7, 5), (10**7, 1)]
 
     def test_a_handler_patched_after_the_first_build_is_reached(
             self, capsys, monkeypatch):

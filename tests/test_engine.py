@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cache
 from math import comb
 
 import pytest
@@ -281,6 +282,11 @@ class TestWideShortSets:
             assert sumset_cardinality(a, h, op) == fast.cardinality
 
 
+# loop_cost makes about a million calls, over more (j, w, op) keys than the
+# engine's bounded cache of counts holds
+cached_vector_count = cache(naive_vector_count)
+
+
 def loop_cost(k, h, op, cap=None):
     """The set-based DP's sums counted term by term, one (element, row,
     coefficient) at a time: with a ``cap``, the count stops once past it."""
@@ -288,7 +294,7 @@ def loop_cost(k, h, op, cap=None):
     total = 0
     for j in range(k):
         for w in range(h):
-            vectors = naive_vector_count(j, w, op) if w else 1
+            vectors = cached_vector_count(j, w, op) if w else 1
             total += vectors * signs * (1 if op.restricted else h - w)
             if cap is not None and total > cap:
                 return total

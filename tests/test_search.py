@@ -31,6 +31,17 @@ def enumerate_space(space):
             if space.filter_id is None or gcd(*free) == 1]
 
 
+def _csv(records):
+    """The CSV lines of ``records``, each with its newline."""
+    return [r.to_csv_row() + "\n" for r in records]
+
+
+def _lines(text):
+    """CSV text as a list of lines, so that a failed comparison reports the
+    first line that differs instead of diffing two long strings."""
+    return text.splitlines(keepends=True)
+
+
 def space_h4_positive(max_element=20):
     return SearchSpace(k=5, h=4, max_element=max_element,
                        family=Family.POSITIVE)
@@ -434,7 +445,7 @@ class TestPrefixSharedSweep:
             assert min_card == min(s[0] for s in singles if s[0] is not None)
             assert rows == [row for s in singles for row in s[1]]
             assert measured == sum(s[2] for s in singles)
-            assert text == "".join(s[3] for s in singles)
+            assert _lines(text) == _lines("".join(s[3] for s in singles))
             assert rows and bool(text) == csv
             assert any(s[0] is None for s in singles) == (emit != "all")
 
@@ -483,13 +494,14 @@ class TestCsvSink:
                                 family=family, filter_id=filter_id)
             records = []
             summary = sweep(space, emit=emit, on_record=records.append)
-            expected = "".join(r.to_csv_row() + "\n" for r in records)
+            expected = _csv(records)
             for workers in (1, 2, 3):
                 blocks = []
                 assert sweep(space, workers=workers, emit=emit,
                              csv_sink=blocks.append).to_dict() == \
                     summary.to_dict(), (space, emit, workers)
-                assert "".join(blocks) == expected, (space, emit, workers)
+                lines = _lines("".join(blocks))
+                assert lines == expected, (space, emit, workers)
             kinds.update(r.structure.kind for r in records)
         assert kinds == ({StructureKind.ODD_AP_DILATE, StructureKind.GENERAL_AP,
                           StructureKind.NONE} if family is Family.POSITIVE
@@ -510,8 +522,7 @@ class TestCsvSink:
             assert len(records) == (space.size() if emit == "all" else
                                     summary.violation_count
                                     + summary.equality_count)
-            assert "".join(blocks) == "".join(r.to_csv_row() + "\n"
-                                              for r in records)
+            assert _lines("".join(blocks)) == _csv(records)
 
 
 def _reference_records(space, candidates):
@@ -525,10 +536,6 @@ def _reference_records(space, candidates):
         records.append(SearchRecord(a, card, card - bound, card == bound,
                                     classify_structure(a)))
     return records
-
-
-def _csv(records):
-    return "".join(r.to_csv_row() + "\n" for r in records)
 
 
 # (measured for emit all, interesting and none, as each of the last two
@@ -571,7 +578,7 @@ class TestLeafLoop:
             if consumers != "csv":
                 assert records == expected[emit]
             if consumers != "records":
-                assert "".join(blocks) == _csv(expected[emit])
+                assert _lines("".join(blocks)) == _csv(expected[emit])
 
     def test_a_prefix_with_a_common_factor_keeps_its_coprime_leaves(self):
         # (0, 2, 4, 6) has gcd 2: only its odd leaves are primitive, and
@@ -587,7 +594,7 @@ class TestLeafLoop:
             assert rows == [(r.set.elements, r.cardinality) for r in expected]
             assert measured == len(expected)
             assert min_card == min(r.cardinality for r in expected)
-            assert text == _csv(expected)
+            assert _lines(text) == _csv(expected)
         # the same prefix reached by the walk from its shard's head
         records = []
         sweep(space, emit="all", on_record=records.append)
@@ -612,7 +619,7 @@ class TestLeafLoop:
         for records in (True, False):
             min_card, rows, measured, text = search._sweep_shard(
                 (space, [head], None, records, True))
-            assert text == _csv(expected)
+            assert _lines(text) == _csv(expected)
             assert measured == len(expected)
             assert rows == [(r.set.elements, r.cardinality) for r in expected
                             if records or r.slack <= 0]
@@ -637,7 +644,7 @@ class TestLeafLoop:
         assert rows == [(r.set.elements, r.cardinality) for r in expected]
         assert measured == len(kept)
         assert min_card == min(r.cardinality for r in expected)
-        assert text == _csv(expected)
+        assert _lines(text) == _csv(expected)
         # a probe measures its draws as one such shard
         probe = random_probe(space, 150, 3)
         draws = _reference_records(space, [

@@ -164,7 +164,8 @@ def main() -> int:
         print("usage: python tools/cli_grid.py SRC_ROOT", file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.abspath(sys.argv[1]))
-    os.environ.pop("SUMSET_BUDGET", None)  # every sweep at the default budget
+    # checkouts older than the constant --budget default read this variable
+    os.environ.pop("SUMSET_BUDGET", None)
     from signedsum import cli
 
     for command in commands():

@@ -59,7 +59,8 @@ def main() -> int:
         return 2
     root = os.path.abspath(sys.argv[1])
     sys.path.insert(0, root)
-    os.environ.pop("SUMSET_BUDGET", None)  # every sweep at the default budget
+    # checkouts older than the constant --budget default read this variable
+    os.environ.pop("SUMSET_BUDGET", None)
     from cli_grid import commands, run
 
     functions = defined_functions(Path(root) / "signedsum")
