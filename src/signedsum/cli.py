@@ -2,9 +2,11 @@
 
 Exit codes: 0 means every checked conclusion holds, 1 means a mathematical
 counterexample was found (the offending sets are dumped in plain text and
-JSON regardless of format flags), 2 means a usage or hypothesis error, a
-sweep over its budget, a path that cannot be read or written, or a DP too
-large to hold, which a sweep refuses before it opens ``--csv``, 3 means
+JSON regardless of format flags) or, for ``reproduce``, that a check row
+failed (its ``[FAIL]`` row names what was found, and no set is dumped as
+a counterexample), 2 means a usage or hypothesis error, a sweep over its
+budget, a path that cannot be read or written, or a DP too large to hold,
+which a sweep refuses before it opens ``--csv``, 3 means
 an internal error, a fault in the program whose traceback goes to stderr,
 so a crash never reads as a counterexample, and 141 (128 + SIGPIPE) means
 the reader closed the output pipe early, as ``| head`` does, so the run

@@ -18,8 +18,7 @@ and yields the siblings below each parent as one run: the parent's rows
 h - 1 and h and the range of the siblings' last elements. A shard takes
 each sibling in one pass (:func:`_sweep_shard`): it filters it, counts
 it, compares it with the minimum and the bound, and ships it and writes
-its CSV line, where the walk forms it. A pruned sweep first counts a run
-in one list and drops it unless a set in it is kept.
+its CSV line, where the walk forms it, in a pruned sweep as in any other.
 A shard returns plain ``(candidate, cardinality)`` rows, so only ints and
 tuples of ints cross the process boundary, and each record is built once,
 in the parent, by :func:`_merge`, the one place where shipped rows become
@@ -265,9 +264,9 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
 
     Each leaf of a run is taken in one pass: it is filtered, counted where
     it is formed, compared with the least count so far and the bound, and
-    shipped and written as it is emitted. A pruned walk keeps few sets, so
-    with a ``limit`` a run is first counted whole, in one list, and
-    dropped at once when none of its sets is kept.
+    shipped and written as it is emitted. With a ``limit`` a leaf above the
+    bound is counted and dropped there, so a run is counted once, pruned
+    or not.
 
     A CSV line is the text of the leaf's prefix, its own text and the
     columns after ``set``. A prefix's text is its parent's, formed once
@@ -293,23 +292,10 @@ def _sweep_shard(args: tuple[SearchSpace, Iterable[tuple[int, ...]],
     parent = parent_text = parent_step = None
     g, ap_last = 1, None
     for head in heads:
-        for run in prefix_cardinalities(head, space.h, space.max_element,
-                                        space.k, limit):
-            prefix, below, row, leaves = run
+        for prefix, below, row, leaves in prefix_cardinalities(
+                head, space.h, space.max_element, space.k, limit):
             if primitive:
                 g = gcd(*prefix)  # a leaf's gcd is gcd(g, a)
-            if limit is not None:
-                counts = leaf_counts(run)
-                if g != 1:
-                    counts = [card for a, card in zip(leaves, counts)
-                              if gcd(g, a) == 1]
-                if not counts:
-                    continue
-                least = min(counts)
-                if least > bound_value:  # nothing here is kept or emitted
-                    measured += len(counts)
-                    low = min(low, least)
-                    continue
             if csv:
                 if prefix[:-1] != parent:
                     parent = prefix[:-1]

@@ -728,6 +728,9 @@ class TestReproduceCommand:
         assert code == 1
         assert "[FAIL] equality cases are exactly d*[0,4]" in out
         assert "(0, 1, 2, 4, 6)" in out
+        # a failed row is not a counterexample: no set is dumped as one
+        assert "COUNTEREXAMPLE" not in out
+        assert out.endswith("3/4 checks passed\n")
 
     def test_ap_iff_target(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "ap-iff")

@@ -720,6 +720,26 @@ class TestBranchAndBound:
     def test_pruned_sweeps_match_unpruned_with_two_workers(self, space):
         _assert_pruned_sweeps_match_unpruned(space, 2)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("filter_id, measured, dilates", [
+        (None, 25188, range(1, 5)), ("primitive", 22306, [1])])
+    def test_a_wide_pruned_sweep_keeps_its_summary_and_csv(
+            self, filter_id, measured, dilates, workers):
+        # at M = 40 the walk measures 25,188 of the 658,008 sets, and only
+        # 4 of its 1,979 runs hold a kept set (1 with the filter)
+        space = SearchSpace(k=5, h=4, max_element=40, family=Family.POSITIVE,
+                            filter_id=filter_id)
+        records, blocks = [], []
+        summary = sweep(space, workers=workers, on_record=records.append,
+                        csv_sink=blocks.append)
+        equal = [tuple(d * x for x in (1, 3, 5, 7, 9)) for d in dilates]
+        assert summary.measured == measured
+        assert summary.min_cardinality == 25
+        assert [r.set.elements for r in summary.equality_sets] == equal
+        assert summary.violations == []
+        assert records == _reference_records(space, equal)
+        assert _lines("".join(blocks)) == _csv(records)
+
     def test_measured_counts_only_the_sets_the_walk_formed(self):
         space = SearchSpace(k=7, h=5, max_element=20, family=Family.POSITIVE)
         summary = sweep(space)

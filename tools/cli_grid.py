@@ -11,7 +11,7 @@ stdout and stderr. Identical lines on two checkouts mean byte-identical
 behaviour on every command; ``tools/grid_diff.py REV`` runs the grid on a
 revision and on the working tree and names the commands that differ.
 
-The grid's 1,242 commands cover every verb: each checker on sixteen sets
+The grid's 1,244 commands cover every verb: each checker on sixteen sets
 at h 2 to 5, in both formats; sumsets under every operator, with h above
 k on a two-element set; mixed-sign sets such as ``--set -3,1,4``, which
 reach the checkers (whose hypotheses refuse them) and the sumset
@@ -21,7 +21,8 @@ checkers, the conditional inverse checker at h = k - 1 too; the bound
 catalogue; sweeps of both families over every h, every emit mode, CSV on
 stdout, JSON, two worker counts (each with CSV in every emit mode that
 writes it), three workers over 55 shards, primitive counts past the
-dilates by 2, spaces wide enough for the walk's floors to prune, and the
+dilates by 2, spaces wide enough for the walk's floors to prune, CSV
+from a wide pruned sweep with and without the primitive filter, and the
 budget, window, DP-size and worker-count refusals; seeded probes, one
 over [1, 10^6]; every reproduce target; usage errors; and the AP check
 of a one-element set, which is no progression. No command writes a file,
@@ -120,6 +121,10 @@ def commands() -> list[str]:
     grid.append("sweep --k 6 --h 4 --max 14 --family zero-based --threads 3 "
                 "--emit all --csv -")
     grid.append("sweep --k 4 --h 3 --max 30 --threads 1 --primitive-only")
+    # CSV from a wide pruned sweep, where most runs hold no kept set
+    for filter_flag in ("", " --primitive-only"):
+        grid.append(f"sweep --k 5 --h 4 --max 40 --threads 1 --emit "
+                    f"interesting --csv - --json{filter_flag}")
     grid += [
         "sweep --k 5 --h 4 --max 20 --threads 1 --budget 100",
         "sweep --k 5 --h 4 --max 20 --threads 1 --budget 15504",

@@ -16,7 +16,7 @@ A function is matched to its code by file and first line. For a decorated
 function that line is the first decorator's, not the ``def`` line. The
 profile sees only this process, so code that runs only in sweep worker
 processes, such as ``search._serve``, is always named. The script writes
-no file and takes about 9 s on two vCPUs.
+no file and takes about 2 s on two vCPUs.
 """
 
 from __future__ import annotations
