@@ -24,8 +24,9 @@ from functools import cache
 
 from . import bounds, reproduce
 from .engine import Operator, compute_sumset
-from .search import (CSV_HEADER, DEFAULT_BUDGET, EMIT_MODES, Family,
-                     SearchSpace, random_probe, sweep)
+from .search import (CSV_HEADER, DEFAULT_BUDGET, EMIT_MODES,
+                     WORKERS_AFTER_S, Family, SearchSpace, random_probe,
+                     sweep)
 from .sets import IntegerSet, common_difference, make_set
 from .verify import (check_ap_iff, check_direct, check_inverse,
                      check_partial_inverse, check_prefix_decomposition,
@@ -270,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=EMIT_MODES, default="interesting")
     p.add_argument("--csv", help="write records as CSV to a path, or - for stdout")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="worker processes, started only once the sweep has "
+                        f"run for {WORKERS_AFTER_S} s (default: the CPU count)")
     p.add_argument("--primitive-only", action="store_true",
                    help="skip sets whose elements share a common factor")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -4,14 +4,16 @@ A sweep visits every candidate set of a search space in lexicographic
 order, measures its restricted signed sumset against the family's optimal
 bound, and harvests the equality cases (the extremal sets) and any
 violations (each one a counterexample). Work is partitioned into shards by
-the two smallest free elements, so shards are small and even, run in
-parallel and merge in a fixed order; summaries and the record stream are
-identical for any worker count, including 1, and each shard's records are
-passed on as soon as it and every earlier shard are done. Each of ``W``
-worker processes has its own pipe, over which the parent sends it the
-next shard's index whenever it is free and reads back that shard's
-result; a worker that dies makes the sweep raise. Within a shard
-the engine walks the candidates depth first
+the two smallest free elements, so shards are small and even and merge in
+a fixed order; summaries and the record stream are identical for any
+worker count, including 1, and each shard's records are passed on as soon
+as it and every earlier shard are done. The parent runs the shards
+itself, in order, until the sweep has run for ``WORKERS_AFTER_S``
+seconds, and only then hands the rest to ``W`` worker processes, so a
+short sweep never pays for starting them. Each worker has its own pipe,
+over which the parent sends it the next shard's index whenever it is free
+and reads back that shard's result; a worker that dies makes the sweep
+raise. Within a shard the engine walks the candidates depth first
 (:func:`~signedsum.engine.prefix_cardinalities`), extending the DP rows of
 each shared prefix once rather than rerunning the DP for every candidate,
 and yields the siblings below each parent as one run: the parent's rows
@@ -40,9 +42,10 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from contextlib import closing, nullcontext
+from contextlib import closing
 from functools import cache
 from math import comb, gcd
+from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bounds import BoundFormula, Family
@@ -53,6 +56,18 @@ from .sets import (NOT_STRUCTURED, IntegerSet, StructureClass,
 DEFAULT_BUDGET = 10**7
 EMIT_MODES = ("interesting", "all", "none")
 FILTER_IDS = (None, "primitive")
+# How long a sweep runs its shards in this process before it hands the rest
+# to its workers: rent until the rent paid is a fixed multiple of the price
+# to buy, then buy. On a 2-vCPU Xeon with Python 3.11.7 (medians of 15
+# fresh interpreters), starting and stopping two workers, with the
+# ``multiprocessing`` import, took 17 ms on a sweep of three tiny shards,
+# and a two-worker sweep of the 54,047 CSV rows of ``sweep --k 7 --h 5
+# --max 21 --family zero-based --primitive-only`` took 27 ms longer than
+# one worker. This is about eight times 30 ms. A sweep shorter than this
+# starts no worker; a longer one on W CPUs loses at most
+# (WORKERS_AFTER_S + t) * (1 - 1/W) against workers from its first shard,
+# where t is the time of the shard that runs across this constant.
+WORKERS_AFTER_S = 0.25
 
 
 class _SpaceFields(NamedTuple):
@@ -385,10 +400,11 @@ def _serve(args: list, conn) -> None:
             conn.send((exc, traceback.format_exc()))
 
 
-def _parallel(args: list, workers: int) -> Iterator:
-    """Yield ``_sweep_shard`` of each of ``args`` in order, run by
+def _parallel(args: list, workers: int, first: int) -> Iterator:
+    """Yield ``_sweep_shard`` of each of ``args[first:]`` in order, run by
     ``workers`` processes, each sent the next shard's index whenever it is
-    free.
+    free. Shards are numbered from the start of ``args``, in what is sent
+    and in every message, whatever ``first`` is.
 
     Results that come in early wait here for the in-order merge, and no
     shard is sent more than ``8 * workers`` past the first one not yet
@@ -415,8 +431,8 @@ def _parallel(args: list, workers: int) -> Iterator:
             procs.append(proc)
             conns.append(conn)
         idle, running, done = conns[::-1], {}, {}
-        sent, window = 0, 8 * workers
-        for i in range(len(args)):
+        sent, window = first, 8 * workers
+        for i in range(first, len(args)):
             while i not in done:
                 while idle and sent < min(len(args), i + window):
                     conn = idle.pop()
@@ -450,6 +466,22 @@ def _parallel(args: list, workers: int) -> Iterator:
             conn.close()
 
 
+def _run_shards(args: list, workers: int) -> Iterator:
+    """Yield ``_sweep_shard`` of each of ``args`` in order: run here, one
+    after another, until ``WORKERS_AFTER_S`` seconds have passed since the
+    first began, then by ``_parallel``. The time is checked before each
+    shard, and once it is reached that shard and every later one go to at
+    most ``workers`` processes, no more than there are shards left. With
+    ``workers`` 1 every shard runs here. Closing the generator ends the
+    workers, if any were started."""
+    start = perf_counter()
+    for i, arg in enumerate(args):
+        if workers > 1 and perf_counter() - start >= WORKERS_AFTER_S:
+            yield from _parallel(args, min(workers, len(args) - i), i)
+            return
+        yield _sweep_shard(arg)
+
+
 def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
           emit: str = "interesting",
           on_record: Callable[[SearchRecord], None] | None = None,
@@ -470,13 +502,22 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     prunes each subtree whose sets must all exceed ``_prune_limit``, and
     the emitted sets are the equality cases and violations: the pruned
     sets could be none of those nor the minimum, and ``visited`` counts
-    them with the rest, as ``space.size()``. With ``workers > 1``
-    shards run in ``W`` worker processes, at most one per shard and per
-    CPU, each sent the next shard whenever it is free (``_parallel``).
-    Either way a shard returns only ``(candidate, cardinality)`` rows and
-    its CSV text, and ``_merge`` builds each record once, in this process,
-    as it merges the shards in shard order, so results, callback order and
-    CSV do not depend on the worker count. A shard is merged, and its
+    them with the rest, as ``space.size()``.
+
+    Shards run in this process, in order, until the sweep has run for
+    ``WORKERS_AFTER_S`` seconds (``_run_shards``). With ``workers > 1``
+    the shards left at that point run in ``W`` worker processes, at most
+    one per shard and per CPU, each sent the next shard whenever it is
+    free (``_parallel``). This is rent-or-buy: a sweep shorter than
+    ``WORKERS_AFTER_S`` never imports ``multiprocessing`` or forks, and a
+    longer one on ``W`` real CPUs takes at most ``(WORKERS_AFTER_S + t) *
+    (1 - 1/W)`` longer than with workers from its first shard, the time
+    its serial part would have saved, where ``t`` is the time of the
+    shard that runs across the constant. Either way a shard returns only
+    ``(candidate, cardinality)`` rows and its CSV text, and ``_merge``
+    builds each record once, in this process, as it merges the shards in
+    shard order, so results, callback order and CSV do not depend on the
+    worker count or on when the workers start. A shard is merged, and its
     records and CSV passed on, as soon as it and every earlier shard are
     done, so nothing is held until the whole sweep ends. The workers are
     terminated when the sweep returns or raises, and a worker that dies
@@ -493,11 +534,10 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     limit = None if emit == "all" and any(consumers) else _prune_limit(space)
     args = [(space, (key,), limit, *consumers) for key in space.shard_keys()]
     workers = min(workers, len(args), os.cpu_count() or 1)
-    # leaving the block closes the runner and so ends its workers, so after
+    # leaving the block closes the runner and so ends any workers, so after
     # an error, such as a closed output pipe, no shard runs for nobody;
     # either way each shard's result comes in shard order once it is done
-    with (closing(_parallel(args, workers)) if workers > 1
-          else nullcontext(map(_sweep_shard, args))) as results:
+    with closing(_run_shards(args, workers)) as results:
         measured, min_card, equality_sets, violations = _merge(
             results, space.bound().value, on_record, csv_sink)
     return SweepSummary(space, space.size(), measured, min_card,

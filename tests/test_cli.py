@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from signedsum import SearchSpace, cli, reproduce, verify
+from signedsum import SearchSpace, cli, reproduce, search, verify
 from signedsum.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -542,7 +542,9 @@ class TestSweepCommand:
         assert content[0] == "set;cardinality;slack;equality;structure_kind;d"
         assert len(content) > 1
 
-    def test_csv_stdout_does_not_depend_on_threads(self, capsys):
+    def test_csv_stdout_does_not_depend_on_threads(self, capsys, monkeypatch):
+        # two threads start their workers at the first shard
+        monkeypatch.setattr(search, "WORKERS_AFTER_S", 0)
         argv = ("sweep", "--k", "6", "--h", "4", "--max", "13",
                 "--family", "zero-based", "--primitive-only", "--emit", "all",
                 "--csv", "-", "--json", "--threads")
@@ -554,14 +556,17 @@ class TestSweepCommand:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_csv_into_closed_pipe_exits_141_quietly(self, tmp_path, threads):
         # about 650 kB of CSV, far more than a pipe buffers, so the writer
-        # meets the closed pipe while it runs
+        # meets the closed pipe while it runs; two threads start their
+        # workers at the first shard, so the pipe closes while they run
+        command = ("import sys; from signedsum import cli, search; "
+                   "search.WORKERS_AFTER_S = 0; sys.exit(cli.main())")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         err_path = tmp_path / "stderr.txt"
         with open(err_path, "w") as err:
             proc = subprocess.Popen(
-                [sys.executable, "-m", "signedsum.cli", "sweep", "--k", "6",
+                [sys.executable, "-c", command, "sweep", "--k", "6",
                  "--h", "4", "--max", "18", "--emit", "all", "--csv", "-",
                  "--threads", threads],
                 stdout=subprocess.PIPE, stderr=err, env=env)

@@ -47,6 +47,23 @@ def space_h4_positive(max_element=20):
                        family=Family.POSITIVE)
 
 
+@pytest.fixture
+def workers_from_shard_0(monkeypatch):
+    """A sweep with two or more workers hands them every shard from the
+    first on, as one that has already run for ``WORKERS_AFTER_S`` would.
+    Every sweep in these tests ends well before the real constant."""
+    monkeypatch.setattr(search, "WORKERS_AFTER_S", 0)
+
+
+def _clock_reaching_workers_after(shards):
+    """A stand-in for ``search.perf_counter`` under which a sweep runs
+    ``shards`` shards in the parent and hands the rest to its workers: it
+    reads 0 when the sweep starts and before each of those shards, and
+    ``WORKERS_AFTER_S`` from then on."""
+    calls = itertools.count()
+    return lambda: search.WORKERS_AFTER_S * (next(calls) > shards)
+
+
 class TestSearchSpace:
     def test_size_and_shards(self):
         space = space_h4_positive()
@@ -158,6 +175,7 @@ class TestSweep:
         second = sweep(space_h4_positive(16))
         assert first.to_dict() == second.to_dict()
 
+    @pytest.mark.usefixtures("workers_from_shard_0")
     def test_worker_count_does_not_change_results(self):
         space = space_h4_positive(16)
         sequential = sweep(space, workers=1)
@@ -176,6 +194,7 @@ class TestSweep:
               on_record=lambda r: seen.append(r.set.elements))
         assert seen == [(1, 3, 5, 7, 9), (2, 6, 10, 14, 18)]
 
+    @pytest.mark.usefixtures("workers_from_shard_0")
     def test_emit_none_suppresses_stream_but_not_summary(self):
         seen = []
         summary = sweep(space_h4_positive(), emit="none",
@@ -362,6 +381,7 @@ class TestPrefixSharedSweep:
         SearchSpace(k=6, h=4, max_element=13, family=Family.ZERO_BASED,
                     filter_id="primitive"),
     ])
+    @pytest.mark.usefixtures("workers_from_shard_0")
     def test_worker_count_does_not_change_summary_or_stream(self, space):
         for emit in ("all", "interesting", "none"):
             first = _record_stream(space, 1, emit)
@@ -485,6 +505,7 @@ class TestCsvSink:
     @pytest.mark.parametrize("family, max_element", [
         (Family.POSITIVE, 12), (Family.ZERO_BASED, 11),
         (Family.POSITIVE, 11), (Family.ZERO_BASED, 10)])
+    @pytest.mark.usefixtures("workers_from_shard_0")
     def test_shard_csv_is_the_records_csv(self, family, max_element,
                                           monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 workers anywhere
@@ -553,6 +574,7 @@ LEAF_LOOP_SPACES = {
 
 
 class TestLeafLoop:
+    @pytest.mark.usefixtures("workers_from_shard_0")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("emit", EMIT_MODES)
     @pytest.mark.parametrize("family, filter_id", list(LEAF_LOOP_SPACES))
@@ -693,6 +715,66 @@ def _assert_pruned_sweeps_match_unpruned(space, workers):
     return summary
 
 
+def _assert_shard_8_fails_in_a_worker(monkeypatch):
+    """A two-worker sweep of k=6, h=4, M=12 whose shard 8, head (2, 4),
+    raises in a worker raises that error here, from a ``RuntimeError`` that
+    names the shard and holds the worker's traceback, and leaves no child
+    process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shard = search._sweep_shard
+
+    def failing(args):
+        if args[1][0] == (2, 4):
+            raise ValueError("shard (2, 4) failed")
+        return shard(args)
+
+    monkeypatch.setattr(search, "_sweep_shard", failing)
+    space = SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE)
+    with pytest.raises(ValueError, match=r"shard \(2, 4\) failed") as err:
+        sweep(space, workers=2, emit="all", csv_sink=len)
+    cause = err.value.__cause__  # the worker's frames
+    assert isinstance(cause, RuntimeError)
+    assert re.match(r"in sweep worker [01], shard 8:\nTraceback", str(cause))
+    assert "in failing" in str(cause)
+    assert multiprocessing.active_children() == []
+
+
+def _assert_shard_3_dies_in_a_worker(setup):
+    """In a child interpreter that first runs the statement ``setup``, a
+    two-worker sweep of k=6, h=4, M=12 whose worker exits with code 7 on
+    shard 3, head (1, 5), raises a ``RuntimeError`` that names the worker,
+    the code and the shard, and leaves no child process."""
+    script = f"""if True:
+        import itertools, multiprocessing, os
+        from signedsum import Family, SearchSpace, search, sweep
+        shard, parent = search._sweep_shard, os.getpid()
+
+        def dying(args):
+            if os.getpid() != parent and args[1][0] == (1, 5):
+                os._exit(7)
+            return shard(args)
+
+        search._sweep_shard = dying
+        os.cpu_count = lambda: 2
+        {setup}
+        space = SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE)
+        try:
+            sweep(space, workers=2, emit="all", csv_sink=len)
+        except RuntimeError as exc:
+            print(exc)
+        print(multiprocessing.active_children())
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    # shard 3 goes to whichever worker is free first
+    assert (done.returncode, done.stderr) == (0, "")
+    assert re.fullmatch(r"sweep worker [01] exited with code 7 before it "
+                        r"sent shard 3, head \(1, 5\)\n\[\]\n", done.stdout)
+
+
 class TestBranchAndBound:
     def test_pruned_sweeps_match_unpruned_on_every_small_space(self):
         spaces = list(_every_small_space())
@@ -717,9 +799,11 @@ class TestBranchAndBound:
         SearchSpace(k=6, h=5, max_element=12, family=Family.ZERO_BASED,
                     filter_id="primitive"),
     ])
+    @pytest.mark.usefixtures("workers_from_shard_0")
     def test_pruned_sweeps_match_unpruned_with_two_workers(self, space):
         _assert_pruned_sweeps_match_unpruned(space, 2)
 
+    @pytest.mark.usefixtures("workers_from_shard_0")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("filter_id, measured, dilates", [
         (None, 25188, range(1, 5)), ("primitive", 22306, [1])])
@@ -772,26 +856,27 @@ class TestBranchAndBound:
     def test_pool_is_capped_by_shards_and_cpus(self, monkeypatch):
         sizes = []
 
-        def stub_parallel(args, workers):
+        def stub_run_shards(args, workers):
             """Records the worker count and runs the shards in this process."""
             sizes.append(workers)
             yield from map(search._sweep_shard, args)
 
-        monkeypatch.setattr(search, "_parallel", stub_parallel)
+        monkeypatch.setattr(search, "_run_shards", stub_run_shards)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         six = SearchSpace(k=5, h=4, max_element=7, family=Family.POSITIVE)
         three = SearchSpace(k=5, h=4, max_element=6, family=Family.POSITIVE)
         assert (len(six.shard_keys()), len(three.shard_keys())) == (6, 3)
         expected = {s: sweep(s).to_dict() for s in (six, three)}
-        assert sizes == []
+        assert sizes == [1, 1]
         assert sweep(six, workers=5000).to_dict() == expected[six]
         assert sweep(six, workers=3).to_dict() == expected[six]
         assert sweep(three, workers=5000).to_dict() == expected[three]
-        assert sizes == [4, 3, 3]
+        assert sizes == [1, 1, 4, 3, 3]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sweep(six, workers=5000).to_dict() == expected[six]
-        assert sizes == [4, 3, 3]  # one CPU: no worker process at all
+        assert sizes == [1, 1, 4, 3, 3, 1]  # one CPU: no worker process
 
+    @pytest.mark.usefixtures("workers_from_shard_0")
     def test_two_worker_sweep_leaves_no_child_process(self, monkeypatch):
         # two CPUs, so the workers run on any host
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -813,65 +898,20 @@ class TestBranchAndBound:
         assert calls == seen[:3]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.usefixtures("workers_from_shard_0")
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stub shard reaches the workers by fork")
     def test_a_workers_shard_error_is_raised_here(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        shard = search._sweep_shard
-
-        def failing(args):
-            if args[1][0] == (2, 4):
-                raise ValueError("shard (2, 4) failed")
-            return shard(args)
-
-        monkeypatch.setattr(search, "_sweep_shard", failing)
-        space = SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE)
-        with pytest.raises(ValueError, match=r"shard \(2, 4\) failed") as err:
-            sweep(space, workers=2, emit="all", csv_sink=len)
-        cause = err.value.__cause__  # the worker's frames
-        assert isinstance(cause, RuntimeError)
-        assert re.match(r"in sweep worker [01], shard 8:\nTraceback",
-                        str(cause))
-        assert "in failing" in str(cause)
-        assert multiprocessing.active_children() == []
+        _assert_shard_8_fails_in_a_worker(monkeypatch)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stub shard reaches the workers by fork")
     def test_dead_worker_raises_and_leaves_no_child_process(self):
         # a worker that exits mid-sweep once hung the sweep; the child
         # interpreter's timeout turns such a hang into a failure
-        script = """if True:
-            import multiprocessing, os
-            from signedsum import Family, SearchSpace, search, sweep
-            shard, parent = search._sweep_shard, os.getpid()
+        _assert_shard_3_dies_in_a_worker("search.WORKERS_AFTER_S = 0")
 
-            def dying(args):
-                if os.getpid() != parent and args[1][0] == (1, 5):
-                    os._exit(7)
-                return shard(args)
-
-            search._sweep_shard = dying
-            os.cpu_count = lambda: 2
-            space = SearchSpace(k=6, h=4, max_element=12,
-                                family=Family.POSITIVE)
-            try:
-                sweep(space, workers=2, emit="all", csv_sink=len)
-            except RuntimeError as exc:
-                print(exc)
-            print(multiprocessing.active_children())
-        """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (SRC, env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env,
-                              timeout=60)
-        # shard 3, head (1, 5), goes to whichever worker is free first
-        assert (done.returncode, done.stderr) == (0, "")
-        assert re.fullmatch(r"sweep worker [01] exited with code 7 before it "
-                            r"sent shard 3, head \(1, 5\)\n\[\]\n",
-                            done.stdout)
-
+    @pytest.mark.usefixtures("workers_from_shard_0")
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stub shard reaches the workers by fork")
     def test_a_long_shard_holds_up_no_other(self, monkeypatch):
@@ -896,3 +936,90 @@ class TestBranchAndBound:
         sweep(space, workers=2, emit="all", csv_sink=blocks.append)
         assert [b.split("\n")[0] for b in blocks] == [str(k) for k in keys]
         assert multiprocessing.active_children() == []
+
+    def test_a_short_sweep_starts_no_worker(self):
+        # it ends long before WORKERS_AFTER_S, so every shard runs here
+        script = """if True:
+            import os, sys
+            from signedsum import Family, SearchSpace, sweep
+
+            def no_fork():
+                raise AssertionError("a short sweep forked")
+
+            os.fork = no_fork
+            os.cpu_count = lambda: 2
+            space = SearchSpace(k=6, h=4, max_element=12,
+                                family=Family.POSITIVE)
+            summary = sweep(space, workers=2, emit="all", csv_sink=len)
+            print(summary.visited, "multiprocessing" in sys.modules)
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"{comb(12, 6)} False\n", "")
+
+    def test_a_sweep_hands_its_later_shards_to_workers(self, monkeypatch):
+        # a clock that reaches WORKERS_AFTER_S after shard 2 runs shards 0
+        # to 2 here and the rest in two workers, and the sweep gives what
+        # one worker gives
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        shard = search._sweep_shard
+        here = []
+
+        def spy(args):
+            here.append(args[1][0])
+            return shard(args)
+
+        monkeypatch.setattr(search, "_sweep_shard", spy)
+        space = SearchSpace(k=6, h=4, max_element=13, family=Family.ZERO_BASED,
+                            filter_id="primitive")
+        keys = space.shard_keys()
+        for emit in EMIT_MODES:
+            runs = []
+            for workers in (1, 2):
+                monkeypatch.setattr(search, "perf_counter",
+                                    _clock_reaching_workers_after(3))
+                here.clear()
+                records, blocks = [], []
+                summary = sweep(space, workers=workers, emit=emit,
+                                on_record=records.append,
+                                csv_sink=blocks.append)
+                runs.append((summary.to_dict(), summary.measured, records,
+                             _lines("".join(blocks))))
+                assert here == (keys if workers == 1 else keys[:3]), emit
+                assert multiprocessing.active_children() == []
+            assert runs[1] == runs[0], emit
+            assert runs[0][2] or emit == "none"
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stub shard reaches the workers by fork")
+    def test_handed_over_shards_run_once_and_keep_their_numbers(
+            self, monkeypatch):
+        # shards 0 to 2 run here and each later one in a worker, once, and
+        # the workers' errors still count shards from the sweep's first
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        space = SearchSpace(k=6, h=4, max_element=12, family=Family.POSITIVE)
+        keys, parent = space.shard_keys(), os.getpid()
+        runs = multiprocessing.Array("i", len(keys))  # 1 here, 10 in a worker
+        shard = search._sweep_shard
+
+        def counted(args):
+            runs[keys.index(args[1][0])] += 1 if os.getpid() == parent else 10
+            return shard(args)
+
+        monkeypatch.setattr(search, "_sweep_shard", counted)
+        monkeypatch.setattr(search, "perf_counter",
+                            _clock_reaching_workers_after(3))
+        sweep(space, workers=2, emit="all", csv_sink=len)
+        assert list(runs) == [1] * 3 + [10] * (len(keys) - 3)
+        monkeypatch.setattr(search, "_sweep_shard", shard)
+        monkeypatch.setattr(search, "perf_counter",
+                            _clock_reaching_workers_after(3))
+        _assert_shard_8_fails_in_a_worker(monkeypatch)
+        _assert_shard_3_dies_in_a_worker(
+            "calls = itertools.count(); search.perf_counter = "
+            "lambda: search.WORKERS_AFTER_S * (next(calls) > 3)")
