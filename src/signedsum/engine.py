@@ -67,9 +67,11 @@ holds from h elements on. The second, from the Minkowski bound, adds the
 fewest signed sums of the elements still to come to a lower row of the
 prefix, so it also holds on shorter prefixes. Each floor caps one row
 of the prefix, and the walk checks a row only at the depths where a
-prefix can exceed its cap. The naive path literally enumerates every
-admissible coefficient vector and exists purely to cross-check the fast
-paths.
+prefix can exceed its cap. It checks the children of each prefix it
+forms in its own loop, one capped row at a time for all of them at
+once, before it forms any of them, with no call per prefix. The naive
+path literally enumerates every admissible coefficient vector and exists
+purely to cross-check the fast paths.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ import itertools
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .sets import IntegerSet
 
@@ -546,23 +548,6 @@ def _child(state: int, src: int, a: int, width: int, mask: int) -> int:
     return (state | src << width + a | src << width - a) & mask
 
 
-def _admitted(state: int, pairs: tuple[tuple[int, int], ...],
-              elements: range, width: int, row_mask: int) -> Iterable[int]:
-    """The ``elements`` whose child of the prefix with packed rows ``state``
-    holds at most ``cap`` sums in row r for each ``(r, cap)`` of ``pairs``.
-    Each capped row of a child is formed alone, one shift-or of two rows of
-    the prefix, unpacked when some child is still admitted, and the rows
-    are checked in turn over the children still admitted."""
-    for r, cap in pairs:
-        if not elements:
-            break
-        below = state >> (r - 1) * width & row_mask if r else 0
-        row = state >> r * width & row_mask
-        elements = [a for a in elements
-                    if (below << a | below >> a | row).bit_count() <= cap]
-    return elements
-
-
 def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
             k: int, caps: Caps) -> Iterator[Run]:
     """The walk below ``head``, whose rows are ``dp``, as runs; a child of
@@ -571,14 +556,18 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
 
     Below the head a prefix's rows are packed into one int, row r at bit
     ``r * width``, so a child is one shift-or of its parent's state
-    (``_child``). A prefix's children are checked against their caps all
-    at once, before any is formed, from rows unpacked for the check, and
-    a child none of whose own children is admitted is not kept. A parent
-    of leaves is never packed: its rows h - 1 and h are formed from three
-    rows of its parent and yielded with the range of its leaves, which
-    the caller counts. The walk keeps
+    (``_child``). Each new child's own children are checked against the
+    caps of their depth all at once, before any is formed, in the walk's
+    loop: for each ``(r, cap)``, lowest row first, the child's rows r - 1
+    and r are unpacked, and one comprehension keeps the elements whose
+    row r, one shift-or of those two, holds at most ``cap`` sums. The
+    check stops at the first empty list, and a child none of whose own
+    children passes is not kept. The head's children are checked the
+    same way before the loop. A parent of leaves is never packed: its
+    rows h - 1 and h are formed from three rows of its parent and yielded
+    with the range of its leaves, which the caller counts. The walk keeps
     a stack with one frame per depth, ``(prefix, state, iterator over the
-    admitted elements still to try next)``, rather than recursing, so k is
+    checked elements still to try next)``, rather than recursing, so k is
     not bounded by Python's recursion limit.
     """
     start = head[-1] + 1 if head else 1
@@ -589,9 +578,15 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
     width, row_mask, lower, keep = _layout(h, k, max_element)
     state = _pack(dp, width)
     j = len(head) + 1
-    stack = [(head, state, iter(_admitted(
-        state, caps[j], range(start, max_element - k + j + 1), width,
-        row_mask)))]
+    children = range(start, max_element - k + j + 1)
+    for r, cap in caps[j]:
+        below = state >> (r - 1) * width & row_mask if r else 0
+        row = state >> r * width & row_mask
+        children = [a for a in children
+                    if (below << a | below >> a | row).bit_count() <= cap]
+        if not children:
+            return
+    stack = [(head, state, iter(children))]
     while stack:
         prefix, state, elements = stack[-1]
         j = len(prefix) + 1  # the size of a child
@@ -607,13 +602,19 @@ def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
             stack.pop()
             continue
         src, mask, pairs = state & lower, keep[j], caps[j + 1]
+        top = max_element - k + j + 2
         for a in elements:
             child = _child(state, src, a, width, mask)
-            grandchildren = range(a + 1, max_element - k + j + 2)
-            if pairs:
-                grandchildren = _admitted(child, pairs, grandchildren, width,
-                                          row_mask)
-            if grandchildren:
+            grandchildren = range(a + 1, top)
+            for r, cap in pairs:
+                below = child >> (r - 1) * width & row_mask if r else 0
+                row = child >> r * width & row_mask
+                grandchildren = [
+                    b for b in grandchildren
+                    if (below << b | below >> b | row).bit_count() <= cap]
+                if not grandchildren:
+                    break
+            else:
                 stack.append((prefix + (a,), child, iter(grandchildren)))
                 break
         else:

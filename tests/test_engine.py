@@ -654,14 +654,16 @@ class TestPrefixWalk:
                     == walk(head, 4, 14, 5))
 
     @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("k", [4, 5, 6])
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
     def test_pruned_walk_is_the_cap_table_exactly(self, family, k):
         # the walk keeps a candidate iff no prefix longer than the head,
         # short of the whole set, has a row above a cap of its depth
         fixed = family.fixed
         max_element = 2 * k + 1
         pruned = 0
-        for h in range(1, k + 1):
+        # k = 7 at h = 5 is the sweep-positive shape, where depths 5 and 6
+        # carry two or three caps each; its other folds would add 2 s
+        for h in range(1, k + 1) if k < 7 else (5,):
             half_width = h * max_element
             rows = {}
 
