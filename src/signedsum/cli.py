@@ -272,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write records as CSV to a path, or - for stdout")
     p.add_argument("--json", action="store_true")
     p.add_argument("--threads", type=int,
-                   help="worker processes, started only once the sweep's "
-                        f"next shard might end after {WORKERS_AFTER_S} s "
-                        "(default: the CPU count)")
+                   help="worker processes, started only once the sweep has "
+                        f"run for {WORKERS_AFTER_S} s (default: the CPU count)")
     p.add_argument("--primitive-only", action="store_true",
                    help="skip sets whose elements share a common factor")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -8,13 +8,12 @@ the two smallest free elements, so shards are small and even and merge in
 a fixed order; summaries and the record stream are identical for any
 worker count, including 1, and each shard's records are passed on as soon
 as it and every earlier shard are done. The parent runs the shards
-itself, in order, until its time so far plus its longest shard so far
-reaches ``WORKERS_AFTER_S`` seconds, and only then hands the rest to
-``W`` worker processes, so a short sweep never pays for starting them.
-Each worker has its own pipe, over which the parent sends it the next
-shard's index whenever it is free and reads back that shard's result; a
-worker that dies makes the sweep raise. Within a shard the engine walks
-the candidates depth first
+itself, in order, until the sweep has run for ``WORKERS_AFTER_S``
+seconds, and only then hands the rest to ``W`` worker processes, so a
+short sweep never pays for starting them. Each worker has its own pipe,
+over which the parent sends it the next shard's index whenever it is free
+and reads back that shard's result; a worker that dies makes the sweep
+raise. Within a shard the engine walks the candidates depth first
 (:func:`~signedsum.engine.prefix_cardinalities`), extending the DP rows of
 each shared prefix once rather than rerunning the DP for every candidate,
 and yields the siblings below each parent as one run: the parent's rows
@@ -64,14 +63,10 @@ FILTER_IDS = (None, "primitive")
 # ``multiprocessing`` import, took 17 ms on a sweep of three tiny shards,
 # and a two-worker sweep of the 54,047 CSV rows of ``sweep --k 7 --h 5
 # --max 21 --family zero-based --primitive-only`` took 27 ms longer than
-# one worker. This is about eight times 30 ms. A sweep hands over once the
-# time so far plus its longest shard so far reaches this constant, so one
-# shorter than the constant less its longest shard starts no worker, and a
-# longer one on W CPUs loses at most (WORKERS_AFTER_S + e) * (1 - 1/W)
-# against workers from its first shard, where e is how much longer than
-# every earlier shard the last one run in the parent took: none when the
-# shards shrink, as a sweep's first shards do, and at most the first
-# shard's time, which always runs here.
+# one worker. This is about eight times 30 ms. A sweep shorter than this
+# starts no worker; a longer one on W CPUs loses at most
+# (WORKERS_AFTER_S + t) * (1 - 1/W) against workers from its first shard,
+# where t is the time of the shard that runs across this constant.
 WORKERS_AFTER_S = 0.25
 
 
@@ -473,24 +468,17 @@ def _parallel(args: list, workers: int, first: int) -> Iterator:
 
 def _run_shards(args: list, workers: int) -> Iterator:
     """Yield ``_sweep_shard`` of each of ``args`` in order: run here, one
-    after another, until the next shard might end past ``WORKERS_AFTER_S``
-    seconds from the first one's start, then by ``_parallel``. The clock is
-    read once before each shard, and the time from one reading to the next
-    is a shard's, with its merge. Once the time so far plus the longest
-    shard so far reaches the constant, that shard and every later one go to
-    at most ``workers`` processes, no more than there are shards left. With
+    after another, until ``WORKERS_AFTER_S`` seconds have passed since the
+    first began, then by ``_parallel``. The time is checked before each
+    shard, and once it is reached that shard and every later one go to at
+    most ``workers`` processes, no more than there are shards left. With
     ``workers`` 1 every shard runs here. Closing the generator ends the
     workers, if any were started."""
-    start = last = perf_counter()
-    longest = 0.0
+    start = perf_counter()
     for i, arg in enumerate(args):
-        if workers > 1:
-            now = perf_counter()
-            longest = max(longest, now - last)
-            last = now
-            if now - start + longest >= WORKERS_AFTER_S:
-                yield from _parallel(args, min(workers, len(args) - i), i)
-                return
+        if workers > 1 and perf_counter() - start >= WORKERS_AFTER_S:
+            yield from _parallel(args, min(workers, len(args) - i), i)
+            return
         yield _sweep_shard(arg)
 
 
@@ -516,23 +504,20 @@ def sweep(space: SearchSpace, *, budget: int = DEFAULT_BUDGET, workers: int = 1,
     sets could be none of those nor the minimum, and ``visited`` counts
     them with the rest, as ``space.size()``.
 
-    Shards run in this process, in order, until the next one might end
-    past ``WORKERS_AFTER_S`` seconds (``_run_shards``). With ``workers > 1``
+    Shards run in this process, in order, until the sweep has run for
+    ``WORKERS_AFTER_S`` seconds (``_run_shards``). With ``workers > 1``
     the shards left at that point run in ``W`` worker processes, at most
     one per shard and per CPU, each sent the next shard whenever it is
-    free (``_parallel``). This is rent-or-buy: a sweep hands over once
-    the time so far plus its longest shard so far reaches the constant,
-    so one shorter than ``WORKERS_AFTER_S`` less its longest shard never
-    imports ``multiprocessing`` or forks. A longer one on ``W`` real CPUs
-    takes at most ``(WORKERS_AFTER_S + e) * (1 - 1/W)`` longer than with
-    workers from its first shard, the time its serial part would have
-    saved, where ``e`` is how much longer than every earlier shard the
-    last shard run here took: none when the shards shrink, as the first
-    ones do, and at most the first shard's time. Either way a shard
-    returns only ``(candidate, cardinality)`` rows and its CSV text, and
-    ``_merge`` builds each record once, in this process, as it merges the
-    shards in shard order, so results, callback order and CSV do not
-    depend on the worker count or on when the workers start. A shard is merged, and its
+    free (``_parallel``). This is rent-or-buy: a sweep shorter than
+    ``WORKERS_AFTER_S`` never imports ``multiprocessing`` or forks, and a
+    longer one on ``W`` real CPUs takes at most ``(WORKERS_AFTER_S + t) *
+    (1 - 1/W)`` longer than with workers from its first shard, the time
+    its serial part would have saved, where ``t`` is the time of the
+    shard that runs across the constant. Either way a shard returns only
+    ``(candidate, cardinality)`` rows and its CSV text, and ``_merge``
+    builds each record once, in this process, as it merges the shards in
+    shard order, so results, callback order and CSV do not depend on the
+    worker count or on when the workers start. A shard is merged, and its
     records and CSV passed on, as soon as it and every earlier shard are
     done, so nothing is held until the whole sweep ends. The workers are
     terminated when the sweep returns or raises, and a worker that dies

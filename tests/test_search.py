@@ -59,9 +59,7 @@ def _clock_reaching_workers_after(shards):
     """A stand-in for ``search.perf_counter`` under which a sweep runs
     ``shards`` shards in the parent and hands the rest to its workers: it
     reads 0 when the sweep starts and before each of those shards, and
-    ``WORKERS_AFTER_S`` from then on. The sweep reads it once before each
-    shard, so before shard ``shards`` the time so far and the longest shard
-    so far are both the constant, and their sum reaches it there first."""
+    ``WORKERS_AFTER_S`` from then on."""
     calls = itertools.count()
     return lambda: search.WORKERS_AFTER_S * (next(calls) > shards)
 
@@ -996,39 +994,6 @@ class TestBranchAndBound:
                 assert multiprocessing.active_children() == []
             assert runs[1] == runs[0], emit
             assert runs[0][2] or emit == "none"
-
-    @pytest.mark.parametrize("ticks, here", [
-        # shards of 0.4 of the constant: after two the time so far plus
-        # the longest is 1.2 of it, though the time alone is 0.8
-        ([0, 0, 0.4, 0.8, 1.2], 2),
-        # a first shard of 0.6: the second would end past the constant
-        ([0, 0, 0.6, 0.7], 1),
-        # a third shard of 0.3 among shorter ones: the longest so far, not
-        # the last, counts, so shard 5 is handed over at 0.8
-        ([0, 0, 0.1, 0.2, 0.5, 0.6, 0.8], 5),
-    ])
-    def test_hands_over_once_the_next_shard_might_pass_the_constant(
-            self, monkeypatch, ticks, here):
-        # the clock, in units of WORKERS_AFTER_S, reads ticks[0] when the
-        # sweep starts and ticks[i + 1] before shard i
-        clock = iter(ticks)
-        monkeypatch.setattr(search, "perf_counter",
-                            lambda: search.WORKERS_AFTER_S * next(clock))
-        monkeypatch.setattr(search, "_sweep_shard", lambda arg: arg)
-        handed = []
-
-        def parallel(args, workers, first):
-            handed.append((workers, first))
-            return iter(args[first:])
-
-        monkeypatch.setattr(search, "_parallel", parallel)
-        assert list(search._run_shards(list(range(8)), 2)) == list(range(8))
-        assert handed == [(2, here)]
-        # one worker never reads the clock past its start, nor hands over
-        clock = iter([0])
-        handed.clear()
-        assert list(search._run_shards(list(range(8)), 1)) == list(range(8))
-        assert handed == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the stub shard reaches the workers by fork")

@@ -28,17 +28,13 @@ read.
 
 from __future__ import annotations
 
-import io
 import json
-import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 10
+from pairs import PAIRS, ROOT, extract, figures, order
 
 
 def run(spec: dict, tree: Path, workload: str, seed: int) -> dict | None:
@@ -65,19 +61,14 @@ def report(workload: str, metric: dict, pairs: list[tuple[dict, dict]]
     name, lower = metric["name"], metric["better"] == "lower"
     before = [b[name] for b, _ in pairs]
     after = [a[name] for _, a in pairs]
-    q1, median, q3 = statistics.quantiles(before, n=4, method="inclusive")
-    changed = statistics.median(after)
-    wins = sum(a < b if lower else a > b for b, a in zip(before, after))
+    fig = figures(before, after, lower)
     bound = metric["bound"]
-    limit = median * (1 + bound if lower else 1 - bound)
-    within = changed <= limit if lower else changed >= limit
+    limit = fig.median * (1 + bound if lower else 1 - bound)
+    within = fig.changed <= limit if lower else fig.changed >= limit
     apart = max(after) < min(before) if lower else min(after) > max(before)
-    unresolved = q3 - q1 > bound * median and not apart
+    unresolved = fig.q3 - fig.q1 > bound * fig.median and not apart
     print(f"{workload} {name} ({metric['unit']}, {metric['better']} is "
-          f"better): parent median {median:.6g} (quartiles {q1:.6g}-"
-          f"{q3:.6g}), change median {changed:.6g}, change wins {wins} of "
-          f"{len(pairs)}, medians differ by more than the parent's IQR: "
-          f"{'yes' if abs(changed - median) > q3 - q1 else 'no'}, "
+          f"better): {fig.text()}, "
           f"within bound {bound}: {'yes' if within else 'no'}, "
           f"unresolved: {'yes' if unresolved else 'no'}")
     return within
@@ -94,27 +85,20 @@ def main() -> int:
         print("usage: python tools/bench_pairs.py REV [WORKLOAD ...]; "
               f"workloads: {' '.join(names)}", file=sys.stderr)
         return 2
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", args[0]],
-                             capture_output=True)
-    if archive.returncode != 0:
-        sys.stderr.write(archive.stderr.decode(errors="replace"))
-        return 2
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extraction_filter = tarfile.data_filter
-            tar.extractall(tmp)
+        if not extract(args[0], tmp):
+            return 2
+        trees = (Path(tmp), ROOT)
         for workload in workloads:
             pairs = []
             for seed in range(1, PAIRS + 1):
-                trees = [Path(tmp), ROOT][::1 if seed % 2 else -1]
-                values = {tree: run(spec, tree, workload, seed)
-                          for tree in trees}
+                values = {side: run(spec, trees[side], workload, seed)
+                          for side in order(seed - 1)}
                 if None in values.values():
                     ok = False
                 else:
-                    pairs.append((values[Path(tmp)], values[ROOT]))
+                    pairs.append((values[0], values[1]))
             if len(pairs) < 2:  # no quartiles; the failed runs are reported
                 continue
             for metric in spec["end_to_end"]:

@@ -20,7 +20,8 @@ Each interpreter times its ``sweep()`` call alone, not its start-up. For
 each space the script prints the sets measured, the parent's median time
 and quartiles, the change's median, the change's wins out of the pairs
 (the faster side of a pair wins it) and whether the medians differ by more
-than the parent's interquartile range. It exits 1 if a summary
+than the parent's interquartile range, by the rule of ``tools/pairs.py``,
+which ``tools/bench_pairs.py`` applies too. It exits 1 if a summary
 (``to_dict()``) or ``measured`` differs between the sides in any run, 0
 otherwise, and 2 on a usage error, a revision ``git archive`` cannot read
 or a run that fails. Neither side writes bytecode, and both run in the
@@ -29,18 +30,14 @@ temporary directory, so nothing is written inside the repository.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PAIRS = 10
+from pairs import PAIRS, ROOT, extract, figures, order
+
 SPACES = (("positive", 5, 3, 60), ("zero-based", 5, 4, 60),
           ("positive", 8, 6, 24), ("positive", 10, 5, 40))
 # run as ``python -c SWEEP SRC FAMILY K H M``: one timed sweep, as JSON
@@ -64,24 +61,17 @@ def main() -> int:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python tools/walk_pairs.py REV", file=sys.stderr)
         return 2
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sys.argv[1],
-                              "src"], capture_output=True)
-    if archive.returncode != 0:
-        sys.stderr.write(archive.stderr.decode(errors="replace"))
-        return 2
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     same = True
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extraction_filter = tarfile.data_filter
-            tar.extractall(tmp)
+        if not extract(sys.argv[1], tmp, "src"):
+            return 2
         srcs = (os.path.join(tmp, "src"), str(ROOT / "src"))
         for space in SPACES:
             times: tuple[list[float], list[float]] = ([], [])
             for i in range(PAIRS):
                 results = {}
-                for side in (0, 1) if i % 2 == 0 else (1, 0):
+                for side in order(i):
                     run = subprocess.run(
                         [sys.executable, "-c", SWEEP, srcs[side],
                          *map(str, space)],
@@ -97,18 +87,10 @@ def main() -> int:
                     same = False
                     print(f"{space} pair {i}: the summaries differ",
                           file=sys.stderr)
-            before, after = times
-            q1, median, q3 = statistics.quantiles(before, n=4,
-                                                  method="inclusive")
-            changed = statistics.median(after)
-            wins = sum(a < b for b, a in zip(before, after))
             family, k, h, m = space
             print(f"{family} k={k} h={h} M={m}: measured "
-                  f"{results[1]['measured']}, parent median {median:.4f} s "
-                  f"(quartiles {q1:.4f}-{q3:.4f}), change median "
-                  f"{changed:.4f} s, change wins {wins} of {PAIRS}, medians "
-                  f"differ by more than the parent's IQR: "
-                  f"{'yes' if abs(changed - median) > q3 - q1 else 'no'}")
+                  f"{results[1]['measured']}, "
+                  f"{figures(*times).text('.4f', ' s')}")
     return 0 if same else 1
 
 
