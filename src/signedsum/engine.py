@@ -13,7 +13,7 @@ The fast path is a dynamic program over (element index, weight used)
 whose state is the set of achievable partial sums at each weight, held
 one of two ways. The bitset backend holds a row as a dense bitmap in a
 Python int, so a transition is one shift-or and the cost is the set's
-width. The set-based backend holds it as a frozenset of sums, and its
+width. The set-based backend holds it as a mutable set of sums, and its
 cost is the number of sums, at most C(k, w) * 2^w in a restricted signed
 row of weight w: far less for a few elements near 10^6. A signed row is
 symmetric about 0, as flipping every lambda_i keeps the weight, so this
@@ -21,11 +21,18 @@ backend holds it as its non-negative half (``_shift``), and its readers
 mirror the half or count 2|H| - [0 in H] sums. One row loop,
 ``_rows``, serves both, and builds the rows of every sumset and of the
 head of every sweep walk (``prefix_cardinalities``, and so
-``random_probe``). It drops each row that the elements still to come
-cannot lift to weight h. Under a restricted operator a later element adds
-at most 1, so with ``left`` of them to come the rows below h - left go;
-under an unrestricted one it can add any weight, so only the last step
-drops anything: every row but h.
+``random_probe``). It is the 0/1 knapsack's loop: each element is
+offered to the rows from weight h - 1 down, and each row gains the moved
+sums of the rows below it in place, so no row list is copied per
+element. That order is exact because row w feeds only rows above w:
+when row w is offered, only the rows above it have gained anything from
+this element, so every row it moves still holds the previous element's
+sums. A bitmap row is replaced by the union, and a set row is updated
+without being rebuilt. The loop drops each row that the elements still
+to come cannot lift to weight h. Under a restricted operator a later
+element adds at most 1, so with ``left`` of them to come the rows below
+h - left go; under an unrestricted one it can add any weight, so only
+the last step drops anything: every row but h.
 
 ``compute_sumset``, ``sumset_cardinality`` and ``prefix_sumsets`` each
 run one ``_pass``, the one place that guards an instance, chooses its
@@ -42,7 +49,8 @@ every instance by its bitmap, so the same inputs are refused whichever
 backend would run.
 ``prefix_sumsets`` has the pass keep row h of the set's h + 1 smallest
 elements on the way through, so a set and its prefix cost one DP, for
-their sizes or for their sums.
+their sizes or for their sums. A set row grows in place, so the pass
+keeps a frozen copy of it.
 
 Sweeps use the bitset backend alone. The walk extends each shared
 prefix's rows once instead of rerunning the DP for every candidate, and
@@ -57,11 +65,13 @@ the walk packs a prefix's rows into one int, so a child is one shift-or
 of its parent (``_child``) rather than a loop over rows. Only the walk
 packs, where each prefix has many children. One wide set loses by it, as
 every shift moves every row: for the 20 elements 2.4 * 10^6 + 1000 i at
-h = 10 (1.06 * 10^9 bits of rows), a packed DP took 12.9 s and 959 MiB of
-peak RSS against 1.56 s and 218 MiB for ``_rows`` (one process each,
-2-vCPU Xeon, Python 3.11). Given a limit, the walk is branch
-and bound: it skips every prefix whose completions must all have more
-sums than the limit, by two floors proved in its docstring. The first
+h = 10, at the walk's offset (h + 1 rows of 4.8 * 10^7 bits), a packed
+DP took 5.7-6.2 s and 792 MiB of peak RSS against 0.42-0.63 s and
+100 MiB for ``_rows`` (one process per DP, the DP alone timed, the
+process's peak RSS, two runs of each, 2-vCPU Xeon, Python 3.11). Given a
+limit, the walk is branch and bound: it skips every prefix whose
+completions must all have more sums than the limit, by two floors proved
+in its docstring. The first
 adds 2h sums per element still to come to the prefix's own sumset, and
 holds from h elements on. The second, from the Minkowski bound, adds the
 fewest signed sums of the elements still to come to a lower row of the
@@ -80,7 +90,7 @@ import itertools
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple
 
 from .sets import IntegerSet
 
@@ -95,7 +105,9 @@ NAIVE_VECTOR_LIMIT = 10**8
 # their cardinalities, against 224 ms for the faster backend each time and
 # 568 ms for the bitset alone (full sumsets: 461, 456 and 1,092 ms).
 # Weights from 2,000 to 3,000 did as well; 1,000 and 5,000 took 260 and
-# 252 ms. No reproduce call has more than 59 bits per bounded sum.
+# 252 ms. No reproduce call has more than 59 bits per bounded sum. Measured
+# before ``_rows`` grew its set rows in place, which made each formed sum
+# cheaper (ROADMAP item 11).
 SPARSE_WEIGHT = 3000
 
 
@@ -170,16 +182,21 @@ def _check_instance(a: IntegerSet, h: int, op: Operator) -> int:
     return half_width
 
 
-def _move(row: int, delta: int, signed: bool) -> int:
-    """The sums in ``row`` moved by ``delta``, and also by ``-delta`` when signed."""
+def _move(dst: int, src: int, delta: int, signed: bool) -> int:
+    """Row ``dst`` with the sums of row ``src`` moved by ``delta``, and
+    also by ``-delta`` when signed, added."""
     if signed:
         delta = abs(delta)
-        return row << delta | row >> delta
-    return row << delta if delta >= 0 else row >> -delta
+        return dst | src << delta | src >> delta
+    return dst | (src << delta if delta >= 0 else src >> -delta)
 
 
-def _shift(row: frozenset[int], delta: int, signed: bool) -> set[int]:
-    """``_move`` for a row held as a set of sums.
+def _shift(dst: AbstractSet[int], src: AbstractSet[int], delta: int,
+           signed: bool) -> set[int]:
+    """``_move`` for rows held as sets of sums: ``dst`` gains the moved
+    sums of ``src`` in place and is returned. An empty ``dst`` may be the
+    one empty row that the rows of ``_rows`` share, so it is replaced by a
+    new set rather than updated.
 
     A signed row R is symmetric, R = -R, so it is held as its non-negative
     half H. With d = |delta|, the half of (R + d) | (R - d) is
@@ -187,56 +204,66 @@ def _shift(row: frozenset[int], delta: int, signed: bool) -> set[int]:
     negative r is d - |r| = |(-r) - d|. So each sum of H is moved once
     each way, where R would need 2|R| sums.
     """
+    if not dst:
+        dst = set()
     if signed:
         delta = abs(delta)
-        moved = {x + delta for x in row}
-        moved.update([abs(x - delta) for x in row])
-        return moved
-    return {x + delta for x in row}
-
-
-def _step(dp: list, a: int, multi: bool, signed: bool, lo: int,
-          move=_move, empty=0) -> list:
-    """Offer element ``a`` to the weight rows ``dp``; row w holds the sums of weight w.
-
-    ``multi`` allows coefficients beyond magnitude one and ``signed`` allows
-    negative ones. Rows below weight ``lo`` come back ``empty``: a caller
-    that knows they can no longer reach the target weight drops them. Rows
-    are bitmaps moved by ``_move``, or frozensets moved by ``_shift``; both
-    are immutable, so ``|=`` never touches a row of ``dp``.
-    """
-    h = len(dp) - 1
-    ndp = [empty] * lo + dp[lo:] if lo > 0 else dp[:]  # lambda = 0 on this element
-    if multi:
-        for w in range(h):
-            src = dp[w]
-            if src:
-                for j in range(max(lo - w, 1), h - w + 1):
-                    ndp[w + j] |= move(src, j * a, signed)
-    else:
-        for w in range(lo - 1 if lo > 1 else 0, h):
-            src = dp[w]
-            if src:
-                ndp[w + 1] |= move(src, a, signed)
-    return ndp
+        dst.update([abs(x - delta) for x in src])
+    dst.update([x + delta for x in src])
+    return dst
 
 
 def _rows(elements: tuple[int, ...], h: int, multi: bool, signed: bool,
           k: int, seed, move=_move, dp: list | None = None) -> list:
     """The weight rows of ``elements``, the first elements of a k-set, less
-    those the rest cannot lift to weight h. Row 0 is ``seed``: the bitmap
-    ``1 << half_width``, in which bit i encodes i - half_width, or
-    ``frozenset((0,))`` with ``move=_shift``. Given ``dp``, the rows of the
-    elements before ``elements``, it extends those rows instead, and k
-    counts ``elements`` and the elements after them."""
+    those the rest cannot lift to weight h: row w holds the sums of weight
+    w. Row 0 is ``seed``: the bitmap ``1 << half_width``, in which bit i
+    encodes i - half_width, or ``frozenset((0,))`` with ``move=_shift``.
+    Every empty row is the one ``type(seed)()``. Given ``dp``, the rows of
+    the elements before ``elements``, it extends those rows in place
+    instead, and k counts ``elements`` and the elements after them.
+
+    ``multi`` allows coefficients beyond magnitude one and ``signed``
+    allows negative ones. Each element is offered to the rows from weight
+    h - 1 down, and row w + c gains row w moved by c times the element
+    (``move``) in place: a bitmap row is replaced by the union, a set row
+    is updated. That order is exact, the 0/1 knapsack's: row w feeds only
+    rows above w, so when it is offered only the rows above it have
+    gained anything from this element, and every source row is still the
+    previous element's. Offered lowest first, a row would pass on sums
+    that already use the element, and take it twice.
+
+    An element drops the rows it leaves that the elements to come cannot
+    lift to weight h. Under a restricted operator each later element adds
+    at most 1, so with ``left`` of them to come the rows below h - left
+    go: one row per element, row h - left - 1, the last one offered, as
+    the element before dropped those below it. Under an unrestricted
+    operator a later element can add any weight, so only the last element
+    drops anything: every row but h.
+    """
     empty = type(seed)()
     if dp is None:
         dp = [empty] * (h + 1)
         dp[0] = seed
     for j, a in enumerate(elements, 1):
         left = k - j
-        dp = _step(dp, a, multi, signed, 0 if multi and left else h - left,
-                   move, empty)
+        if multi:
+            lo = 0 if left else h
+            for w in range(h - 1, -1, -1):
+                src = dp[w]
+                if src:
+                    for c in range(max(lo - w, 1), h - w + 1):
+                        dp[w + c] = move(dp[w + c], src, c * a, signed)
+            if not left:
+                dp[:h] = [empty] * h
+        else:
+            lo = h - left
+            for w in range(h - 1, max(lo - 1, 0) - 1, -1):
+                src = dp[w]
+                if src:
+                    dp[w + 1] = move(dp[w + 1], src, a, signed)
+            if lo > 0:
+                dp[lo - 1] = empty
     return dp
 
 
@@ -248,13 +275,13 @@ def _achievable(elements: tuple[int, ...], h: int, op: Operator,
                  1 << half_width)[h]
 
 
-def _sorted_sums(row: frozenset[int], signed: bool) -> list[int]:
+def _sorted_sums(row: AbstractSet[int], signed: bool) -> list[int]:
     """The sums of a set-based row, ascending; a signed half row mirrored."""
     half = sorted(row)
     return [-x for x in reversed(half) if x] + half if signed else half
 
 
-def _size(row: frozenset[int], signed: bool) -> int:
+def _size(row: AbstractSet[int], signed: bool) -> int:
     """How many sums a set-based row holds: 2|H| - [0 in H] for a signed
     half row H."""
     return 2 * len(row) - (0 in row) if signed else len(row)
@@ -320,7 +347,7 @@ def _sparse(k: int, h: int, op: Operator, half_width: int) -> bool:
 
 
 def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
-          ) -> tuple[int | frozenset[int], int | frozenset[int], bool, int]:
+          ) -> tuple[int | AbstractSet[int], int | set[int], bool, int]:
     """One DP pass over A at fold h under ``op``, on the cheaper backend:
     ``(head, row, sparse, half_width)``.
 
@@ -328,7 +355,9 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
     after the h + 1 smallest with ``prefix``, or ``row`` again without. A
     row is a bitmap in which bit i encodes i - half_width, or with
     ``sparse`` a set of sums, a signed one held as its non-negative half
-    (``_shift``). The range guard runs first, so the same inputs are
+    (``_shift``). The set rows grow in place, so a set-based ``head`` is a
+    frozen copy taken before the later elements are offered. The range
+    guard runs first, so the same inputs are
     refused whichever backend would run, and only then a prefix that would
     need more elements than A has. Row h after h + 1 elements is the
     prefix's sumset: the rows dropped before then are those the elements
@@ -347,6 +376,8 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
     dp = _rows(elements[:cut], h, multi, signed, k, seed, move)
     head = dp[h]
     if cut < k:
+        if sparse:
+            head = frozenset(head)
         dp = _rows(elements[cut:], h, multi, signed, k - cut, seed, move, dp)
     return head, dp[h], sparse, half_width
 
@@ -378,7 +409,8 @@ def prefix_sumsets(a: IntegerSet, h: int, sums: bool = False
 
     def read(row):
         if sparse:
-            return row | {-x for x in row} if sums else _size(row, True)
+            return (frozenset(row).union([-x for x in row]) if sums
+                    else _size(row, True))
         return frozenset(_decode(row, half_width)) if sums else row.bit_count()
     return read(head), read(full)
 
@@ -481,7 +513,7 @@ Run = tuple[tuple[int, ...], int, int, range]
 
 def leaf_counts(run: Run) -> list[int]:
     """The size of each leaf's sumset in a run, in the order of its leaves:
-    a leaf a forms only row h, ``_step(dp, a, ..., h)[h]``."""
+    a leaf a forms only row h, ``_move(row, below, a, True)``."""
     _, below, row, leaves = run
     return [(below << a | below >> a | row).bit_count() for a in leaves]
 

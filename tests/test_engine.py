@@ -366,9 +366,9 @@ class TestBackendChoice:
             h = rng.randint(1, a.k if op.restricted else a.k + 3)
             formed = []
 
-            def counting(row, delta, signed):
-                formed.append(len(row) * (2 if signed else 1))
-                return _shift(row, delta, signed)
+            def counting(dst, src, delta, signed):
+                formed.append(len(src) * (2 if signed else 1))
+                return _shift(dst, src, delta, signed)
 
             _rows(a.elements, h, not op.restricted, op.signed, a.k,
                   frozenset((0,)), counting)
@@ -397,6 +397,24 @@ class TestPrefixSumsetCardinality:
                 assert prefix_sumsets(a, h) == (
                     compute_sumset_naive(a.prefix(h + 1), h, RS).cardinality,
                     compute_sumset_naive(a, h, RS).cardinality), (a, h)
+
+    def test_set_based_sums_are_frozen_copies_of_the_rows(self, monkeypatch):
+        # The set-based rows grow in place, so the prefix's row h is copied
+        # before the later elements are offered to it: with k >= h + 2 the
+        # set's sumset is strictly larger, and a head read after the pass
+        # would be the set's.
+        monkeypatch.setattr(engine, "_sparse", lambda *args: True)
+        rng = random.Random(59)
+        for _ in range(200):
+            a = make_set(rng.sample(range(15), rng.randint(3, 8)))
+            for h in range(1, a.k - 1):
+                head, full = prefix_sumsets(a, h, sums=True)
+                assert type(head) is frozenset and type(full) is frozenset
+                assert head == frozenset(
+                    compute_sumset(a.prefix(h + 1), h, RS).sums), (a, h)
+                assert full == frozenset(compute_sumset(a, h, RS).sums)
+                assert head < full
+                assert prefix_sumsets(a, h, sums=True) == (head, full)
 
     def test_refuses_a_fold_without_its_prefix(self):
         a = make_set([1, 3, 5, 7, 9])

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from signedsum import (Operator, StructureKind, classify_structure,
                        compute_sumset, compute_sumset_naive, dilate, gaps,
                        make_set)
-from signedsum.engine import (_achievable, _check_instance, _decode, _rows,
-                              _shift, _size, _sorted_sums)
+from signedsum.engine import (_achievable, _check_instance, _decode, _move,
+                              _rows, _shift, _size, _sorted_sums)
 
 RS = Operator.RESTRICTED_SIGNED
 
@@ -77,6 +77,45 @@ def test_set_based_rows_match_bitset_rows(elements, op, data):
                                              for row in bitmaps]
     assert (_sorted_sums(half, signed)
             == _decode(_achievable(a.elements, h, op, half_width), half_width))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=5, unique=True),
+       st.sampled_from(list(Operator)), st.booleans(), st.data())
+def test_every_kept_row_is_the_sumset_of_its_weight(elements, op, sparse,
+                                                    data):
+    # After each prefix of j elements, every row _rows keeps is the naive
+    # sumset of its weight over those j elements and every dropped row is
+    # empty, on either backend, with h > k drawn for the unrestricted
+    # operators. One element feeds several rows, so a row offered before
+    # the rows above it would take that element twice.
+    a = make_set(elements)
+    h = data.draw(st.integers(1, a.k if op.restricted else a.k + 3))
+    half_width = _check_instance(a, h, op)
+    multi, signed = not op.restricted, op.signed
+
+    def rows(part, k, dp=None):
+        seed, move = ((frozenset((0,)), _shift) if sparse
+                      else (1 << half_width, _move))
+        return _rows(part, h, multi, signed, k, seed, move, dp)
+
+    def naive(part, w):
+        if w == 0:
+            return [0]
+        if op.restricted and w > len(part):
+            return []
+        return list(compute_sumset_naive(make_set(part), w, op).sums)
+
+    for j in range(1, a.k + 1):
+        part, left = a.elements[:j], a.k - j
+        for w, row in enumerate(rows(part, a.k)):
+            kept = w >= h - left if op.restricted else left > 0 or w == h
+            sums = (_sorted_sums(row, signed) if sparse
+                    else _decode(row, half_width))
+            assert sums == (naive(part, w) if kept else []), (part, w)
+    cut = data.draw(st.integers(0, a.k))
+    assert (rows(a.elements[cut:], a.k - cut, rows(a.elements[:cut], a.k))
+            == rows(a.elements, a.k))
 
 
 @st.composite

@@ -1,5 +1,6 @@
-"""The parts that tools/bench_pairs.py and tools/walk_pairs.py share: a
-revision's tree from ``git archive`` and the pair rule's figures.
+"""The parts that tools/bench_pairs.py, tools/walk_pairs.py and
+tools/dp_pairs.py share: a revision's tree from ``git archive``, one timed
+run in a fresh interpreter and the pair rule's figures.
 
 A pair is one run on the parent, side 0, and one on the change, side 1.
 The side that runs first alternates, the parent first in pair 0. The
@@ -11,6 +12,8 @@ counts for neither.
 from __future__ import annotations
 
 import io
+import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +38,23 @@ def extract(rev: str, dest: str, *paths: str) -> bool:
             tar.extraction_filter = tarfile.data_filter
         tar.extractall(dest)
     return True
+
+
+def run_json(label: str, code: str, src: str, *args: str, cwd: str,
+             stdin: str | None = None) -> dict | None:
+    """The JSON that ``python -c CODE SRC ARGS`` prints, run in ``cwd``
+    with ``stdin`` as its input and without writing bytecode. When it
+    fails, write ``label``, its exit status and the end of its stderr to
+    stderr and return None."""
+    run = subprocess.run([sys.executable, "-c", code, src, *args],
+                         input=stdin, capture_output=True, text=True,
+                         cwd=cwd,
+                         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    if run.returncode != 0:
+        print(f"{label} on {src}: exit {run.returncode}\n"
+              f"{run.stderr[-2000:]}", file=sys.stderr)
+        return None
+    return json.loads(run.stdout)
 
 
 def order(pair: int) -> tuple[int, int]:

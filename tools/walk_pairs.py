@@ -30,13 +30,11 @@ temporary directory, so nothing is written inside the repository.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
 import sys
 import tempfile
 
-from pairs import PAIRS, ROOT, extract, figures, order
+from pairs import PAIRS, ROOT, extract, figures, order, run_json
 
 SPACES = (("positive", 5, 3, 60), ("zero-based", 5, 4, 60),
           ("positive", 8, 6, 24), ("positive", 10, 5, 40))
@@ -61,7 +59,6 @@ def main() -> int:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python tools/walk_pairs.py REV", file=sys.stderr)
         return 2
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         if not extract(sys.argv[1], tmp, "src"):
@@ -72,17 +69,12 @@ def main() -> int:
             for i in range(PAIRS):
                 results = {}
                 for side in order(i):
-                    run = subprocess.run(
-                        [sys.executable, "-c", SWEEP, srcs[side],
-                         *map(str, space)],
-                        capture_output=True, text=True, cwd=tmp, env=env)
-                    if run.returncode != 0:
-                        print(f"{space} on {srcs[side]}: exit "
-                              f"{run.returncode}\n{run.stderr[-2000:]}",
-                              file=sys.stderr)
+                    result = run_json(str(space), SWEEP, srcs[side],
+                                      *map(str, space), cwd=tmp)
+                    if result is None:
                         return 2
-                    results[side] = json.loads(run.stdout)
-                    times[side].append(results[side].pop("seconds"))
+                    times[side].append(result.pop("seconds"))
+                    results[side] = result
                 if results[0] != results[1]:
                     same = False
                     print(f"{space} pair {i}: the summaries differ",
