@@ -47,10 +47,10 @@ That count at h less that at h - 1 is the naive oracle's work
 below the bitset's bits. The range guard runs first and still sizes
 every instance by its bitmap, so the same inputs are refused whichever
 backend would run.
-``prefix_sumsets`` has the pass keep row h of the set's h + 1 smallest
-elements on the way through, so a set and its prefix cost one DP, for
-their sizes or for their sums. A set row grows in place, so the pass
-keeps a frozen copy of it.
+``prefix_sumsets`` has the pass read the size of row h after the set's
+h + 1 smallest elements on the way through, before the later elements
+grow that row in place, so a set and its prefix cost one DP. One reader,
+``_size``, counts a row of either backend.
 
 Sweeps use the bitset backend alone. The walk extends each shared
 prefix's rows once instead of rerunning the DP for every candidate, and
@@ -281,9 +281,11 @@ def _sorted_sums(row: AbstractSet[int], signed: bool) -> list[int]:
     return [-x for x in reversed(half) if x] + half if signed else half
 
 
-def _size(row: AbstractSet[int], signed: bool) -> int:
-    """How many sums a set-based row holds: 2|H| - [0 in H] for a signed
-    half row H."""
+def _size(row: int | AbstractSet[int], signed: bool) -> int:
+    """How many sums a row holds: the set bits of a bitmap, or the sums of
+    a set-based row, 2|H| - [0 in H] for a signed half row H."""
+    if isinstance(row, int):
+        return row.bit_count()
     return 2 * len(row) - (0 in row) if signed else len(row)
 
 
@@ -347,22 +349,22 @@ def _sparse(k: int, h: int, op: Operator, half_width: int) -> bool:
 
 
 def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
-          ) -> tuple[int | AbstractSet[int], int | set[int], bool, int]:
+          ) -> tuple[int | None, int | set[int], bool, int]:
     """One DP pass over A at fold h under ``op``, on the cheaper backend:
     ``(head, row, sparse, half_width)``.
 
-    ``row`` is row h after every element, the sumset, and ``head`` is row h
-    after the h + 1 smallest with ``prefix``, or ``row`` again without. A
-    row is a bitmap in which bit i encodes i - half_width, or with
-    ``sparse`` a set of sums, a signed one held as its non-negative half
-    (``_shift``). The set rows grow in place, so a set-based ``head`` is a
-    frozen copy taken before the later elements are offered. The range
-    guard runs first, so the same inputs are
-    refused whichever backend would run, and only then a prefix that would
-    need more elements than A has. Row h after h + 1 elements is the
-    prefix's sumset: the rows dropped before then are those the elements
-    up to the last could not lift to weight h, so none of them reaches row
-    h after h + 1.
+    ``row`` is row h after every element, the sumset: a bitmap in which
+    bit i encodes i - half_width, or with ``sparse`` a set of sums, a
+    signed one held as its non-negative half (``_shift``). With
+    ``prefix``, ``head`` is the size of row h after the h + 1 smallest
+    elements, read before the later elements grow that row in place, and
+    without it None, so a caller that reads only the sums pays for no
+    count. The range guard runs first, so the same inputs are refused
+    whichever backend would run, and only then a prefix that would need
+    more elements than A has. Row h after h + 1 elements is the prefix's
+    sumset: the rows dropped before then are those the elements up to the
+    last could not lift to weight h, so none of them reaches row h after
+    h + 1.
     """
     half_width = _check_instance(a, h, op)
     elements, k = a.elements, a.k
@@ -374,10 +376,8 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
     multi, signed = not op.restricted, op.signed
     cut = h + 1 if prefix else k
     dp = _rows(elements[:cut], h, multi, signed, k, seed, move)
-    head = dp[h]
+    head = _size(dp[h], signed) if prefix else None
     if cut < k:
-        if sparse:
-            head = frozenset(head)
         dp = _rows(elements[cut:], h, multi, signed, k - cut, seed, move, dp)
     return head, dp[h], sparse, half_width
 
@@ -391,28 +391,17 @@ def compute_sumset(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
 
 def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
     """|sumset| without materializing the sums; the checkers' call."""
-    _, row, sparse, _ = _pass(a, h, op)
-    return _size(row, op.signed) if sparse else row.bit_count()
+    return _size(_pass(a, h, op)[1], op.signed)
 
 
-def prefix_sumsets(a: IntegerSet, h: int, sums: bool = False
-                   ) -> tuple[int, int] | tuple[frozenset[int], frozenset[int]]:
-    """The restricted signed sumsets of A's h + 1 smallest elements and of
-    A, from one ``_pass``, on the backend ``sumset_cardinality`` takes for
-    A: their sizes, or with ``sums`` the sumsets themselves, unsorted. On
-    the bitset backend the prefix's row sits at A's offset, so it is
-    decoded with A's half-width. With k = h + 1 both come from the same
-    rows.
+def prefix_sumsets(a: IntegerSet, h: int) -> tuple[int, int]:
+    """The sizes of the restricted signed sumsets of A's h + 1 smallest
+    elements and of A, from one ``_pass``, on the backend
+    ``sumset_cardinality`` takes for A. With k = h + 1 both come from the
+    same rows.
     """
-    head, full, sparse, half_width = _pass(a, h, Operator.RESTRICTED_SIGNED,
-                                           True)
-
-    def read(row):
-        if sparse:
-            return (frozenset(row).union([-x for x in row]) if sums
-                    else _size(row, True))
-        return frozenset(_decode(row, half_width)) if sums else row.bit_count()
-    return read(head), read(full)
+    head, row, _, _ = _pass(a, h, Operator.RESTRICTED_SIGNED, True)
+    return head, _size(row, True)
 
 
 def admit_walk(h: int, k: int, max_element: int) -> int:

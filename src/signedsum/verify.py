@@ -182,23 +182,30 @@ def check_partial_inverse(a: IntegerSet, h: int) -> list[ConditionCheck]:
     prefix = a.prefix(h + 1)
     tail = a.without_min()  # A' = A minus its least element
 
-    # one DP pass for A and its prefix, whose sumsets (d) compares; (d)
-    # needs the tail's DP only when the tail is a progression
-    head, full = prefix_sumsets(a, h, sums=True)
-    equality = len(full) == family.optimal_bound(h, k).value
-    surplus = len(head) >= family.prefix_base(h)
+    # one DP pass gives the sizes of the sumsets of the prefix and of A;
+    # (d) needs sums, and only when the tail is a progression
+    head, card = prefix_sumsets(a, h)
+    equality = card == family.optimal_bound(h, k).value
+    surplus = head >= family.prefix_base(h)
     tail_is_ap = is_arithmetic_progression(tail)
-    union = None
+    union_fills = False
     if tail_is_ap:
-        tail_restricted = set(
-            compute_sumset(tail, h, Operator.RESTRICTED).sums)
-        union = tail_restricted | {-x for x in tail_restricted} | head
+        # (d) asks whether T | -T | h^+-P is h^+-A, with T = h^A'. Each
+        # part lies in h^+-A. A sum in T, or its negative, has h distinct
+        # elements of A' (which has k - 1 >= h of them) all signed + or
+        # all -, and A' lies in A. A vector on P, a subset of A, padded
+        # with zeros is a vector on A. So the union is h^+-A exactly when
+        # their sizes match.
+        t = compute_sumset(tail, h, Operator.RESTRICTED).sums
+        union = {*t, *(-x for x in t), *compute_sumset(
+            prefix, h, Operator.RESTRICTED_SIGNED).sums}
+        union_fills = len(union) == card
 
     applicable = {
         "a": is_arithmetic_progression(a),
         "b": is_arithmetic_progression(prefix),
         "c": surplus and 4 <= h <= k - 3,
-        "d": tail_is_ap and full == union,
+        "d": union_fills,
         "e": surplus and tail_is_ap,
     }
     conclusion = classify_structure(a).kind is family.extremal

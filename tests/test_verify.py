@@ -225,9 +225,10 @@ class TestPartialInverse:
                                           (1, 2, 4, 8, 16, 32)])
     def test_one_pass_over_a_and_one_dp_on_its_tail(self, monkeypatch,
                                                     elements):
-        # A and its prefix share one pass; A minus its least element takes
-        # one restricted DP only when it is a progression, as condition (d)
-        # needs it only then; the prefix gets no DP of its own
+        # A and its prefix share one pass for their sizes; only when A
+        # minus its least element is a progression does condition (d) need
+        # sums, from one restricted DP on that tail and one restricted
+        # signed DP on the prefix
         calls = []
 
         def counted(name, fn):
@@ -243,7 +244,9 @@ class TestPartialInverse:
         a = make_set(elements)
         check_partial_inverse(a, 4)
         tail_dp = [("compute_sumset", a.without_min().elements,
-                    Operator.RESTRICTED)]
+                    Operator.RESTRICTED),
+                   ("compute_sumset", a.prefix(5).elements,
+                    Operator.RESTRICTED_SIGNED)]
         assert Counter(calls) == Counter([
             ("prefix_sumsets", a.elements),
             *(tail_dp if elements == (1, 3, 5, 7, 9, 11) else []),
@@ -252,13 +255,17 @@ class TestPartialInverse:
     def test_matches_a_reference_with_two_dps(self):
         # the conditions as computed from separate DPs on the prefix and on
         # A, on both backends, at every h in the window, h = k - 1 (where
-        # the prefix is A) included
+        # the prefix is A) included; the last two sets have a progression
+        # for a tail but are none themselves, so (d) is false on some
+        # progression tails: {1,4,6,8,10,12} (bitset) at h = 4, and the
+        # other (set-based) at h = 4, 5
         rs = Operator.RESTRICTED_SIGNED
-        backends = set()
+        backends, d_on_ap_tails = set(), set()
         for elements in [s for s in WIDE_SHORT_SETS if min(s) >= 0] + [
                 [1, 3, 5, 7, 9, 11, 13], [0, 2, 4, 6, 8, 10],
                 [0, 1, 2, 4, 6], [1, 2, 4, 8, 16, 32], [1, 3, 5, 7, 9, 13],
-                [2, 3, 5, 8, 13, 21, 34, 55]]:
+                [2, 3, 5, 8, 13, 21, 34, 55], [1, 4, 6, 8, 10, 12],
+                [50_001] + [120_007 + 70_001 * i for i in range(6)]]:
             a = make_set(elements)
             for h in range(4, a.k):
                 backends.add(_sparse(a.k, h, rs, _check_instance(a, h, rs)))
@@ -278,6 +285,8 @@ class TestPartialInverse:
                           and tail_is_ap),
                     "e": surplus and tail_is_ap,
                 }
+                if tail_is_ap:
+                    d_on_ap_tails.add(applicable["d"])
                 equality = len(full) == family.optimal_bound(h, a.k).value
                 conclusion = classify_structure(a).kind is family.extremal
                 assert check_partial_inverse(a, h) == [
@@ -285,6 +294,7 @@ class TestPartialInverse:
                                    conclusion if equality and ok else None)
                     for cond, ok in applicable.items()], (elements, h)
         assert backends == {False, True}
+        assert d_on_ap_tails == {False, True}
 
 
 class TestSpecialDirect:

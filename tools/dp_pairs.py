@@ -10,8 +10,10 @@ one fresh interpreter on the parent's ``src`` and one on the working
 tree's, the change. The side that runs first alternates from pair to
 pair. Each interpreter runs three entry points of ``signedsum.engine`` on
 every set of its batch at fold h, under the restricted signed operator,
-a fixed number of times over: ``sumset_cardinality``,
-``prefix_sumsets(sums=True)`` and ``compute_sumset``. The batches are:
+a fixed number of times over: ``sumset_cardinality``, ``prefix_sumsets``
+(the two sizes) and ``compute_sumset``. It also runs
+``signedsum.verify.check_partial_inverse``, the caller of
+``prefix_sumsets``, on the items with 4 <= h <= k - 1. The batches are:
 
     verify-wide  the 21 sets of perfbench's verify-wide batches for seeds
                  0 to 2 at h=5, which take the set-based backend
@@ -27,10 +29,11 @@ script prints the parent's median time and quartiles, the change's
 median, the change's wins out of the pairs (the faster side of a pair wins
 it) and whether the medians differ by more than the parent's interquartile
 range, by the rule of ``tools/pairs.py``. It exits 1 if any output (each
-count, sumset and backend) differs between the sides in any run, 0
-otherwise, and 2 on a usage error, a revision ``git archive`` cannot read
-or a run that fails. Neither side writes bytecode, and both run in the
-temporary directory, so nothing is written inside the repository.
+count, sumset, condition check and backend) differs between the sides in
+any run, 0 otherwise, and 2 on a usage error, a revision ``git archive``
+cannot read or a run that fails. Neither side writes bytecode, and both
+run in the temporary directory, so nothing is written inside the
+repository.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from pairs import PAIRS, ROOT, extract, figures, order, run_json
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import verify_wide_batch  # noqa: E402
 
-ENTRIES = ("sumset_cardinality", "prefix_sumsets", "compute_sumset")
+ENTRIES = ("sumset_cardinality", "prefix_sumsets", "compute_sumset",
+           "check_partial_inverse")
 
 
 def batches() -> dict[str, tuple[int, list[tuple[list[int], int]]]]:
@@ -72,20 +76,22 @@ DP = """if True:
     import hashlib, json, sys
     from time import perf_counter
     sys.path.insert(0, sys.argv[1])
-    from signedsum import engine, make_set
+    from signedsum import engine, make_set, verify
     repeat, items = json.load(sys.stdin)
     rs = engine.Operator.RESTRICTED_SIGNED
     sets = [(make_set(s), h) for s, h in items]
+    window = [(a, h) for a, h in sets if 4 <= h <= a.k - 1]
     calls = {"sumset_cardinality":
-             lambda a, h: engine.sumset_cardinality(a, h, rs),
-             "prefix_sumsets": lambda a, h: [
-                 sorted(x) for x in engine.prefix_sumsets(a, h, sums=True)],
-             "compute_sumset": lambda a, h: engine.compute_sumset(a, h, rs)}
+             (sets, lambda a, h: engine.sumset_cardinality(a, h, rs)),
+             "prefix_sumsets": (sets, engine.prefix_sumsets),
+             "compute_sumset":
+             (sets, lambda a, h: engine.compute_sumset(a, h, rs)),
+             "check_partial_inverse": (window, verify.check_partial_inverse)}
     seconds, digest = {}, hashlib.sha256()
-    for name, call in calls.items():
+    for name, (batch, call) in calls.items():
         start = perf_counter()
         for _ in range(repeat):
-            out = [call(a, h) for a, h in sets]
+            out = [call(a, h) for a, h in batch]
         seconds[name] = perf_counter() - start
         digest.update(json.dumps(out).encode())
     backends = sorted({engine._sparse(a.k, h, rs,
