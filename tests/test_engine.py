@@ -402,6 +402,24 @@ class TestPrefixSumsetCardinality:
                     compute_sumset_naive(a.prefix(h + 1), h, RS).cardinality,
                     compute_sumset_naive(a, h, RS).cardinality), (a, h)
 
+    def test_set_based_head_size_is_read_before_the_row_grows(
+            self, monkeypatch):
+        # The set-based rows grow in place, so the prefix's size is read
+        # before the later elements are offered to row h: with k >= h + 2
+        # the set's sumset is strictly larger, and a head read after the
+        # pass would be the set's size.
+        monkeypatch.setattr(engine, "_sparse", lambda *args: True)
+        rng = random.Random(59)
+        for _ in range(200):
+            a = make_set(rng.sample(range(15), rng.randint(3, 8)))
+            for h in range(1, a.k - 1):
+                head, full = prefix_sumsets(a, h)
+                assert head == compute_sumset(a.prefix(h + 1), h,
+                                              RS).cardinality, (a, h)
+                assert full == compute_sumset(a, h, RS).cardinality
+                assert head < full
+                assert prefix_sumsets(a, h) == (head, full)
+
     def test_refuses_a_fold_without_its_prefix(self):
         a = make_set([1, 3, 5, 7, 9])
         with pytest.raises(ValueError, match="prefix needs"):
