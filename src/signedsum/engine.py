@@ -46,7 +46,19 @@ That count at h less that at h - 1 is the naive oracle's work
 ``SPARSE_WEIGHT`` (3,000, measured, see its comment) times that count is
 below the bitset's bits. The range guard runs first and still sizes
 every instance by its bitmap, so the same inputs are refused whichever
-backend would run.
+backend would run. A narrow restricted signed instance on the bitset
+backend is not run on the row list: its h + 1 rows are packed into one
+int, row r at bit r * (2 * half_width + 1), and each element is one
+shift-or of the rows below h, as the walk extends a prefix (``_child``),
+where the row loop costs a call per row. ``_pass`` packs when the state
+holds at most ``PACKED_BITS`` bits (24,000, measured, see its comment).
+A wide set keeps the row list, as every packed shift moves every row:
+for the 20 elements 2.4 * 10^6 + 1000 i at h = 10, at the walk's offset
+(h + 1 rows of 4.8 * 10^7 bits), a packed DP took 5.7-6.2 s and 792 MiB
+of peak RSS against 0.42-0.63 s and 100 MiB for ``_rows`` (one process
+per DP, the DP alone timed, the process's peak RSS, two runs of each,
+2-vCPU Xeon, Python 3.11). So ``_pass`` has three paths: the set-based
+rows, the packed bitset and the bitset row list.
 ``prefix_sumsets`` has the pass read the size of row h after the set's
 h + 1 smallest elements on the way through, before the later elements
 grow that row in place, so a set and its prefix cost one DP. One reader,
@@ -62,13 +74,9 @@ one shift-or and a ``bit_count`` (``leaf_counts``). So the walk forms no
 tuple and no count for a leaf, and a caller that takes every leaf counts
 each one where it uses it. Below the head, whose rows ``_rows`` builds,
 the walk packs a prefix's rows into one int, so a child is one shift-or
-of its parent (``_child``) rather than a loop over rows. Only the walk
-packs, where each prefix has many children. One wide set loses by it, as
-every shift moves every row: for the 20 elements 2.4 * 10^6 + 1000 i at
-h = 10, at the walk's offset (h + 1 rows of 4.8 * 10^7 bits), a packed
-DP took 5.7-6.2 s and 792 MiB of peak RSS against 0.42-0.63 s and
-100 MiB for ``_rows`` (one process per DP, the DP alone timed, the
-process's peak RSS, two runs of each, 2-vCPU Xeon, Python 3.11). Given a
+of its parent (``_child``) rather than a loop over rows. The walk packs
+at its fixed offset whatever the width, as each prefix has many
+children, and ``admit_walk`` sizes it by ``MAX_DP_BITS`` alone. Given a
 limit, the walk is branch and bound: it skips every prefix whose
 completions must all have more sums than the limit, by two floors proved
 in its docstring. The first
@@ -107,8 +115,29 @@ NAIVE_VECTOR_LIMIT = 10**8
 # Weights from 2,000 to 3,000 did as well; 1,000 and 5,000 took 260 and
 # 252 ms. No reproduce call has more than 59 bits per bounded sum. Measured
 # before ``_rows`` grew its set rows in place, which made each formed sum
-# cheaper (ROADMAP item 11).
+# cheaper: retaken on two such draws on the in-place loop, this weight
+# took 97 and 93 ms for the cardinalities against 62 and 66 ms for the
+# faster backend each time, and weights of 500 to 1,500 took 64 to 69 ms
+# (ROADMAP item 11, which also halves the signed count).
 SPARSE_WEIGHT = 3000
+# The most bits, (h + 1) * (2 * half_width + 1), in the packed state of a
+# restricted signed instance that ``_pass`` runs packed on the bitset
+# backend; a wider one keeps the row list of ``_rows``. Measured on 2,036
+# seeded sets that the bitset backend takes (k 3 to 16, h 1 to min(8, k),
+# about 3 in 10 with 0, states of 500 to 128,000 bits, half of them with
+# the prefix read) on a 2-vCPU Xeon with Python 3.11, each pass the best
+# of 5 timed loops: a packed pass took 0.21-0.76 times the time of
+# ``_rows`` up to 8,000 bits, 0.56-1.04 times at 8,000 to 16,000,
+# 0.72-1.50 (0.89 in total) at 16,000 to 24,000, 0.77-1.68 (0.96) at
+# 24,000 to 32,000, 1.03-1.11 in total at 32,000 to 64,000 and 0.98-2.46
+# above. Choosing at 24,000 took 34.8 ms for all the sets, against 34.4 ms
+# for the faster path each time, 45.5 ms for ``_rows`` alone and 37.7 ms
+# packed alone; 28,000 to 48,000 did as well (34.6-34.8 ms), and 16,000
+# took 35.2 ms. The 646 sets of at most 8 elements gain least: at 24,000
+# to 32,000 bits their packed passes took 1.06 times as long in total, so
+# the constant sits at the low end of that flat range. The widest
+# reproduce call, in ``ap-iff``, packs 3,955 bits.
+PACKED_BITS = 24000
 
 
 class Operator(Enum):
@@ -365,16 +394,43 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
     sumset: the rows dropped before then are those the elements up to the
     last could not lift to weight h, so none of them reaches row h after
     h + 1.
+
+    A restricted signed instance on the bitset backend whose h + 1 rows
+    of ``width`` bits hold at most ``PACKED_BITS`` bits in all runs on
+    one int, row r at bit ``r * width``. Each element x is one shift-or,
+    the walk's ``_child`` without its mask: the rows below h, ``src``,
+    moved up one row and by +-x, join the state. No sum leaves its row,
+    as every sum of weight at most h lies within half_width of 0, and
+    row h is not moved, so nothing passes above it. The packed pass
+    drops no row: row h gains only from row h - 1, and a row the
+    elements to come cannot lift to weight h feeds only rows they cannot
+    lift either, so its sums never reach row h and only cost its width
+    in each shift. ``head`` is read from row h after the h + 1 smallest
+    elements, and ``row`` is row h, the top of the state, so ``_size``
+    and ``_decode`` read it as a bitmap of the row list.
     """
     half_width = _check_instance(a, h, op)
     elements, k = a.elements, a.k
     if prefix and k == h:
         raise ValueError("the prefix needs h + 1 elements")
     sparse = _sparse(k, h, op, half_width)
+    cut = h + 1 if prefix else k
+    width = 2 * half_width + 1
+    if (not sparse and op is Operator.RESTRICTED_SIGNED
+            and (h + 1) * width <= PACKED_BITS):
+        top = h * width
+        lower, state = (1 << top) - 1, 1 << half_width
+        for x in elements[:cut]:
+            src = state & lower
+            state |= src << width + x | src << width - x
+        head = (state >> top).bit_count() if prefix else None
+        for x in elements[cut:]:
+            src = state & lower
+            state |= src << width + x | src << width - x
+        return head, state >> top, False, half_width
     seed, move = ((frozenset((0,)), _shift) if sparse
                   else (1 << half_width, _move))
     multi, signed = not op.restricted, op.signed
-    cut = h + 1 if prefix else k
     dp = _rows(elements[:cut], h, multi, signed, k, seed, move)
     head = _size(dp[h], signed) if prefix else None
     if cut < k:

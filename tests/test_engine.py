@@ -1,21 +1,61 @@
+import importlib.util
 import itertools
 import random
 from functools import cache
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedsum import (Family, IntegerSet, Operator, SearchSpace, cli,
                        compute_sumset, compute_sumset_naive, dilate, engine,
-                       make_set, search, sumset_cardinality)
-from signedsum.engine import (MAX_DP_BITS, SPARSE_WEIGHT, _caps,
-                              _check_instance, _decode, _guard, _rows,
+                       make_set, search, sumset_cardinality, verify)
+from signedsum.engine import (MAX_DP_BITS, PACKED_BITS, SPARSE_WEIGHT,
+                              _caps, _check_instance, _decode, _guard, _rows,
                               _shift, _sparse, _vector_count, leaf_counts,
                               naive_vector_count, prefix_cardinalities,
                               prefix_sumsets)
 
 RS = Operator.RESTRICTED_SIGNED
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# the three paths of a single-set pass, each as (_sparse's answer,
+# PACKED_BITS) forcing it: the packed path runs restricted signed
+# instances alone, so under a forced "packed" the other three operators
+# take the row list
+PATHS = {"set-based": (True, 0), "packed": (False, MAX_DP_BITS),
+         "rows": (False, 0)}
+
+
+def force(monkeypatch, path):
+    """Send every single-set pass down ``path``, one of ``PATHS``."""
+    sparse, packed_bits = PATHS[path]
+    monkeypatch.setattr(engine, "_sparse", lambda *args: sparse)
+    monkeypatch.setattr(engine, "PACKED_BITS", packed_bits)
+
+
+def record_paths(monkeypatch):
+    """The list, filled as passes run, of the path each single-set pass
+    takes: its ``_sparse`` call appends "set-based" or "packed", and a
+    bitset pass that then calls ``_rows`` is "rows". Only for code that
+    runs no sweep walk, whose head also calls ``_rows``. A ``_sparse``
+    forced before is kept."""
+    paths = []
+    choose = engine._sparse
+
+    def sparse(*args):
+        paths.append("set-based" if choose(*args) else "packed")
+        return paths[-1] == "set-based"
+
+    def rows(*args):
+        if paths[-1] == "packed":
+            paths[-1] = "rows"
+        return _rows(*args)
+
+    monkeypatch.setattr(engine, "_sparse", sparse)
+    monkeypatch.setattr(engine, "_rows", rows)
+    return paths
 
 
 def walk(*args):
@@ -112,23 +152,26 @@ class TestRestrictedHalfWidth:
     @pytest.mark.parametrize("op", [Operator.RESTRICTED, RS])
     def test_bitset_rows_hold_every_sum_of_the_h_largest(self, op,
                                                          monkeypatch):
-        # on the bitset DP, forced, with the half-width at the sum of the h
-        # largest |a_i|, for every h < k, negatives and 0 included
-        monkeypatch.setattr(engine, "_sparse", lambda *args: False)
-        rng = random.Random(29)
-        checked = 0
-        for _ in range(200):
-            a = make_set(rng.sample(range(-60, 61), rng.randint(2, 8)))
-            for h in range(1, a.k):
-                half_width = _check_instance(a, h, op)
-                assert half_width == sum(sorted(abs(x)
-                                                for x in a.elements)[-h:])
-                fast = compute_sumset(a, h, op)
-                assert fast == compute_sumset_naive(a, h, op), (a, h, op)
-                if op is RS:  # the widest sum reaches the edge of the rows
-                    assert fast.max_sum == half_width
-                checked += 1
-        assert checked > 500
+        # on the bitset DP, forced packed and on the row list, with the
+        # half-width at the sum of the h largest |a_i|, for every h < k,
+        # negatives and 0 included
+        for path in ("packed", "rows"):
+            force(monkeypatch, path)
+            rng = random.Random(29)
+            checked = 0
+            for _ in range(200):
+                a = make_set(rng.sample(range(-60, 61), rng.randint(2, 8)))
+                for h in range(1, a.k):
+                    half_width = _check_instance(a, h, op)
+                    assert half_width == sum(sorted(abs(x)
+                                                    for x in a.elements)[-h:])
+                    fast = compute_sumset(a, h, op)
+                    assert fast == compute_sumset_naive(a, h, op), (a, h, op,
+                                                                    path)
+                    if op is RS:  # the widest sum reaches the rows' edge
+                        assert fast.max_sum == half_width
+                    checked += 1
+            assert checked > 500
 
     def test_unrestricted_operators_keep_h_times_the_largest(self):
         a = make_set([-9, 2, 5])
@@ -313,16 +356,30 @@ class TestBackendChoice:
     @pytest.mark.parametrize("target", ["ap-iff", "interval", "lemma-audit"])
     def test_reproduce_targets_stay_on_the_bitset_dp(self, target,
                                                      monkeypatch, capsys):
-        choices = []
-
-        def spy(*args):
-            choices.append(_sparse(*args))
-            return choices[-1]
-
-        monkeypatch.setattr(engine, "_sparse", spy)
+        # and every pass of theirs runs packed, none on the row list
+        paths = record_paths(monkeypatch)
         cli.main(["reproduce", target])
         capsys.readouterr()
-        assert choices and not any(choices)
+        assert paths and set(paths) == {"packed"}
+
+    def test_verify_wide_batch_takes_the_set_based_dp(self, monkeypatch):
+        # the benchmark's verify-wide sets for seeds 0 to 2, through the
+        # five checkers as its worker runs them
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        paths = record_paths(monkeypatch)
+        for seed in range(3):
+            for item in workloads.verify_wide_batch(seed):
+                a, h = make_set(item["set"]), item["h"]
+                verify.check_direct(a, h)
+                verify.check_inverse(a, h)
+                verify.check_prefix_decomposition(a, h)
+                verify.check_partial_inverse(a, h)
+                if item["special"]:
+                    verify.check_special_direct(a, h)
+        assert paths and set(paths) == {"set-based"}
 
     def test_cost_is_the_term_by_term_count(self):
         for op in Operator:
@@ -420,6 +477,22 @@ class TestPrefixSumsetCardinality:
                 assert head < full
                 assert prefix_sumsets(a, h) == (head, full)
 
+    def test_packed_head_size_is_read_at_the_cut(self, monkeypatch):
+        # The packed state grows in place too, so with k >= h + 2 a head
+        # read after the pass would be the set's size.
+        force(monkeypatch, "packed")
+        paths = record_paths(monkeypatch)
+        rng = random.Random(61)
+        for _ in range(200):
+            a = make_set(rng.sample(range(15), rng.randint(3, 8)))
+            for h in range(1, a.k - 1):
+                head, full = prefix_sumsets(a, h)
+                assert head == compute_sumset_naive(a.prefix(h + 1), h,
+                                                    RS).cardinality, (a, h)
+                assert full == compute_sumset_naive(a, h, RS).cardinality
+                assert head < full
+        assert set(paths) == {"packed"}
+
     def test_refuses_a_fold_without_its_prefix(self):
         a = make_set([1, 3, 5, 7, 9])
         with pytest.raises(ValueError, match="prefix needs"):
@@ -438,28 +511,81 @@ def test_every_entry_point_matches_the_oracle_on_either_backend(
         sparse, monkeypatch):
     # Each backend is forced on small sets with negatives and 0, so the
     # set-based one runs where the choice would never take it, and
-    # prefix_sumsets on sets its only caller refuses.
-    calls = []
+    # prefix_sumsets on sets its only caller refuses. The bitset backend
+    # runs both packed and on the row list.
+    for path in ["set-based"] if sparse else ["packed", "rows"]:
+        force(monkeypatch, path)
+        paths = record_paths(monkeypatch)
+        rng = random.Random(41)
+        for _ in range(300):
+            a = make_set(rng.sample(range(-7, 10), rng.randint(1, 6)))
+            for op in Operator:
+                for h in range(1, a.k + 1 if op.restricted else a.k + 3):
+                    naive = compute_sumset_naive(a, h, op)
+                    assert compute_sumset(a, h, op) == naive, (a, h, op)
+                    assert sumset_cardinality(a, h, op) == naive.cardinality
+            for h in range(1, a.k):
+                head = compute_sumset_naive(a.prefix(h + 1), h, RS)
+                full = compute_sumset_naive(a, h, RS)
+                assert prefix_sumsets(a, h) == (head.cardinality,
+                                                full.cardinality), (a, h)
+        # under a forced "packed" the other operators take the row list
+        assert set(paths) == ({"packed", "rows"} if path == "packed"
+                              else {path})
 
-    def forced(*args):
-        calls.append(args)
-        return sparse
 
-    monkeypatch.setattr(engine, "_sparse", forced)
-    rng = random.Random(41)
-    for _ in range(300):
-        a = make_set(rng.sample(range(-7, 10), rng.randint(1, 6)))
-        for op in Operator:
-            for h in range(1, a.k + 1 if op.restricted else a.k + 3):
-                naive = compute_sumset_naive(a, h, op)
-                assert compute_sumset(a, h, op) == naive, (a, h, op)
-                assert sumset_cardinality(a, h, op) == naive.cardinality
-        for h in range(1, a.k):
-            head = compute_sumset_naive(a.prefix(h + 1), h, RS)
-            full = compute_sumset_naive(a, h, RS)
-            assert prefix_sumsets(a, h) == (head.cardinality,
-                                            full.cardinality), (a, h)
-    assert calls
+def threshold_set(rng, k, h, limit, packed):
+    """A k-set, mixed in sign and with 0 about half the time, whose
+    restricted signed state at fold h holds the most bits up to ``limit``,
+    or with ``packed`` false the fewest above it: the sum of its h largest
+    |a_i| is the half-width that gives those bits, which its largest
+    element, drawn last, makes up."""
+    half_width = (limit // (h + 1) - 1) // 2 + (not packed)
+    span = half_width // (h + 1)
+    rest = rng.sample(range(-span, span + 1), k - 1)
+    if rng.random() < 0.5 and 0 not in rest:
+        rest[0] = 0
+    largest = half_width - sum(sorted(map(abs, rest))[-(h - 1):] if h > 1
+                               else ())
+    return make_set(rest + [rng.choice((1, -1)) * largest])
+
+
+def test_entry_points_match_the_oracle_on_both_sides_of_the_threshold(
+        monkeypatch):
+    # At the threshold itself, on the bitset backend, forced, as most of
+    # these short sets would take the set-based one: the packed pass just
+    # below and the row list just above, with the prefix read at the cut
+    # where k >= h + 2. No state holds PACKED_BITS exactly, so every other
+    # set is drawn against a limit that one does, to pin "at most".
+    monkeypatch.setattr(engine, "_sparse", lambda *args: False)
+    paths = record_paths(monkeypatch)
+    rng = random.Random(67)
+    grown = 0
+    for i in range(60):
+        k = rng.randint(2, 7)
+        h = rng.randint(1, k)
+        limit = (PACKED_BITS if i % 2 else
+                 (h + 1) * (2 * rng.randint(100, 2000) + 1))
+        monkeypatch.setattr(engine, "PACKED_BITS", limit)
+        for packed in (True, False):
+            a = threshold_set(rng, k, h, limit, packed)
+            bits = (h + 1) * (2 * _check_instance(a, h, RS) + 1)
+            assert (bits <= limit) == packed and abs(
+                bits - limit) <= 2 * (h + 1), (a, h)
+            assert bits == limit or i % 2 or not packed
+            naive = compute_sumset_naive(a, h, RS)
+            assert compute_sumset(a, h, RS) == naive, (a, h)
+            assert sumset_cardinality(a, h, RS) == naive.cardinality
+            calls = 2
+            if h < k:
+                head = compute_sumset_naive(a.prefix(h + 1), h,
+                                            RS).cardinality
+                assert prefix_sumsets(a, h) == (head, naive.cardinality), (
+                    a, h)
+                grown += head < naive.cardinality
+                calls = 3
+            assert paths[-calls:] == ["packed" if packed else "rows"] * calls
+    assert grown > 30
 
 
 class TestPackedWalk:

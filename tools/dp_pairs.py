@@ -15,16 +15,24 @@ a fixed number of times over: ``sumset_cardinality``, ``prefix_sumsets``
 ``signedsum.verify.check_partial_inverse``, the caller of
 ``prefix_sumsets``, on the items with 4 <= h <= k - 1. The batches are:
 
-    verify-wide  the 21 sets of perfbench's verify-wide batches for seeds
-                 0 to 2 at h=5, which take the set-based backend
-    narrow       200 seeded sets shaped as ``reproduce lemma-audit``'s:
-                 k 5 to 8, h 3 to k-1, elements in [1, 40], half with 0;
-                 they take the bitset backend
-    wide-bitset  the 16 elements 1.2*10^6 + 1000 i at h=8, on the bitset
-                 backend
+    verify-wide     the 21 sets of perfbench's verify-wide batches for
+                    seeds 0 to 2 at h=5, which take the set-based backend
+    narrow          200 seeded sets shaped as ``reproduce lemma-audit``'s:
+                    k 5 to 8, h 3 to k-1, elements in [1, 40], half with
+                    0; they take the packed bitset pass
+    boundary-below  100 seeded sets, k 5 to 8, h 3 to k-1, positive, whose
+                    packed state, (h+1)(2 half_width + 1) bits, is within
+                    10% below ``engine.PACKED_BITS`` of the working tree:
+                    the widest that the bitset backend runs packed
+    boundary-above  as boundary-below, within 10% above it: the narrowest
+                    that it runs on the row list
+    wide-bitset     the 16 elements 1.2*10^6 + 1000 i at h=8, on the
+                    bitset backend's row list
 
 Each interpreter times each entry point alone, not its start-up, and
-reports which backends its batch took. For each batch and entry point the
+reports which backends its batch took, by ``engine._sparse``, which both
+sides share: the packed pass and the row list are the one bitset backend
+there. For each batch and entry point the
 script prints the parent's median time and quartiles, the change's
 median, the change's wins out of the pairs (the faster side of a pair wins
 it) and whether the medians differ by more than the parent's interquartile
@@ -47,6 +55,8 @@ import tempfile
 from pairs import PAIRS, ROOT, extract, figures, order, run_json
 
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+from signedsum.engine import PACKED_BITS  # noqa: E402
 from workloads import verify_wide_batch  # noqa: E402
 
 ENTRIES = ("sumset_cardinality", "prefix_sumsets", "compute_sumset",
@@ -66,8 +76,27 @@ def batches() -> dict[str, tuple[int, list[tuple[list[int], int]]]]:
                                                  k - len(fixed))),
                        rng.randint(3, k - 1)))
     return {"verify-wide": (10, wide), "narrow": (20, narrow),
+            "boundary-below": (5, boundary(rng, True)),
+            "boundary-above": (5, boundary(rng, False)),
             "wide-bitset": (3, [([1_200_000 + 1000 * i for i in range(16)],
                                  8)])}
+
+
+def boundary(rng: random.Random, packed: bool) -> list[tuple[list[int], int]]:
+    """100 sets whose packed state at fold h is within 10% below
+    ``PACKED_BITS`` or, unless ``packed``, within 10% above it. The half
+    width is the sum of the h largest elements, and the largest, drawn
+    last, makes it up."""
+    items = []
+    for _ in range(100):
+        k = rng.randint(5, 8)
+        h = rng.randint(3, k - 1)
+        edge = (PACKED_BITS // (h + 1) - 1) // 2  # the widest packed
+        half_width = (rng.randint(edge * 9 // 10, edge) if packed
+                      else rng.randint(edge + 1, edge * 11 // 10))
+        rest = sorted(rng.sample(range(1, half_width // h), k - 1))
+        items.append((rest + [half_width - sum(rest[-(h - 1):])], h))
+    return items
 
 
 # run as ``python -c DP SRC``, the batch as JSON on stdin: the time of
