@@ -19,20 +19,21 @@ row of weight w: far less for a few elements near 10^6. A signed row is
 symmetric about 0, as flipping every lambda_i keeps the weight, so this
 backend holds it as its non-negative half (``_shift``), and its readers
 mirror the half or count 2|H| - [0 in H] sums. One row loop,
-``_rows``, serves both, and builds the rows of every sumset and of the
-head of every sweep walk (``prefix_cardinalities``, and so
-``random_probe``). It is the 0/1 knapsack's loop: each element is
-offered to the rows from weight h - 1 down, and each row gains the moved
-sums of the rows below it in place, so no row list is copied per
-element. That order is exact because row w feeds only rows above w:
-when row w is offered, only the rows above it have gained anything from
-this element, so every row it moves still holds the previous element's
-sums. A bitmap row is replaced by the union, and a set row is updated
-without being rebuilt. The loop drops each row that the elements still
-to come cannot lift to weight h. Under a restricted operator a later
-element adds at most 1, so with ``left`` of them to come the rows below
-h - left go; under an unrestricted one it can add any weight, so only
-the last step drops anything: every row but h.
+``_rows``, serves both, and builds the rows of every sumset it does not
+pack and of every whole set a sweep walk is given
+(``prefix_cardinalities``, and so ``random_probe``). It is the 0/1
+knapsack's loop: each element is offered to the rows from weight h - 1
+down, and each row gains the moved sums of the rows below it in place,
+so no row list is copied per element. That order is exact because row w
+feeds only rows above w: when row w is offered, only the rows above it
+have gained anything from this element, so every row it moves still
+holds the previous element's sums. A bitmap row is replaced by the
+union, and a set row is updated without being rebuilt. The loop drops
+each row that the elements still to come cannot lift to weight h. Under
+a restricted operator a later element adds at most 1, so with ``left``
+of them to come the rows below h - left go; under an unrestricted one it
+can add any weight, so only the last step drops anything: every row but
+h.
 
 ``compute_sumset``, ``sumset_cardinality`` and ``prefix_sumsets`` each
 run one ``_pass``, the one place that guards an instance, chooses its
@@ -49,9 +50,10 @@ every instance by its bitmap, so the same inputs are refused whichever
 backend would run. A narrow restricted signed instance on the bitset
 backend is not run on the row list: its h + 1 rows are packed into one
 int, row r at bit r * (2 * half_width + 1), and each element is one
-shift-or of the rows below h, as the walk extends a prefix (``_child``),
-where the row loop costs a call per row. ``_pass`` packs when the state
-holds at most ``PACKED_BITS`` bits (24,000, measured, see its comment).
+shift-or of the rows below h (``_grow``), as the walk extends a prefix
+(``_child``), where the row loop costs a call per row. ``_pass`` packs
+when the state holds at most ``PACKED_BITS`` bits (24,000, measured, see
+its comment).
 A wide set keeps the row list, as every packed shift moves every row:
 for the 20 elements 2.4 * 10^6 + 1000 i at h = 10, at the walk's offset
 (h + 1 rows of 4.8 * 10^7 bits), a packed DP took 5.7-6.2 s and 792 MiB
@@ -72,9 +74,11 @@ place of one ``(candidate, cardinality)`` pair per leaf: the leaves are
 ``row`` are the prefix's rows h - 1 and h, from which a leaf's count is
 one shift-or and a ``bit_count`` (``leaf_counts``). So the walk forms no
 tuple and no count for a leaf, and a caller that takes every leaf counts
-each one where it uses it. Below the head, whose rows ``_rows`` builds,
-the walk packs a prefix's rows into one int, so a child is one shift-or
-of its parent (``_child``) rather than a loop over rows. The walk packs
+each one where it uses it. The walk packs a prefix's rows into one int,
+so a child is one shift-or of its parent (``_child``) rather than a loop
+over rows. It grows the rows below its head by ``_pass``'s packed step
+(``_grow``) and enters as the head's parent, so its one loop forms the
+head and checks the head's children as it does every prefix's. It packs
 at its fixed offset whatever the width, as each prefix has many
 children, and ``admit_walk`` sizes it by ``MAX_DP_BITS`` alone. Given a
 limit, the walk is branch and bound: it skips every prefix whose
@@ -377,6 +381,20 @@ def _sparse(k: int, h: int, op: Operator, half_width: int) -> bool:
             < (h + 1) * k * (2 * half_width + 1))
 
 
+def _grow(state: int, elements: tuple[int, ...], width: int, lower: int
+          ) -> int:
+    """The packed rows ``state``, row r at bit ``r * width``, with each of
+    ``elements`` offered in turn: the rows below h, ``state & lower``,
+    move up one row and by +-x and join the state, the walk's ``_child``
+    without its mask. Row h is not moved, so nothing passes above it, and
+    no row is dropped. ``_pass`` runs a narrow set's whole DP in one call,
+    and the walk forms the rows below its head in one."""
+    for x in elements:
+        src = state & lower
+        state |= src << width + x | src << width - x
+    return state
+
+
 def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
           ) -> tuple[int | None, int | set[int], bool, int]:
     """One DP pass over A at fold h under ``op``, on the cheaper backend:
@@ -397,17 +415,17 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
 
     A restricted signed instance on the bitset backend whose h + 1 rows
     of ``width`` bits hold at most ``PACKED_BITS`` bits in all runs on
-    one int, row r at bit ``r * width``. Each element x is one shift-or,
-    the walk's ``_child`` without its mask: the rows below h, ``src``,
-    moved up one row and by +-x, join the state. No sum leaves its row,
-    as every sum of weight at most h lies within half_width of 0, and
-    row h is not moved, so nothing passes above it. The packed pass
-    drops no row: row h gains only from row h - 1, and a row the
-    elements to come cannot lift to weight h feeds only rows they cannot
-    lift either, so its sums never reach row h and only cost its width
-    in each shift. ``head`` is read from row h after the h + 1 smallest
-    elements, and ``row`` is row h, the top of the state, so ``_size``
-    and ``_decode`` read it as a bitmap of the row list.
+    one int, row r at bit ``r * width``. Each element x is one shift-or
+    (``_grow``): the rows below h moved up one row and by +-x join the
+    state. No sum leaves its row, as every sum of weight at most h lies
+    within half_width of 0, and row h is not moved, so nothing passes
+    above it. The packed pass drops no row: row h gains only from row
+    h - 1, and a row the elements to come cannot lift to weight h feeds
+    only rows they cannot lift either, so its sums never reach row h and
+    only cost its width in each shift. ``head`` is read from row h after
+    the h + 1 smallest elements, and ``row`` is row h, the top of the
+    state, so ``_size`` and ``_decode`` read it as a bitmap of the row
+    list.
     """
     half_width = _check_instance(a, h, op)
     elements, k = a.elements, a.k
@@ -419,14 +437,10 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
     if (not sparse and op is Operator.RESTRICTED_SIGNED
             and (h + 1) * width <= PACKED_BITS):
         top = h * width
-        lower, state = (1 << top) - 1, 1 << half_width
-        for x in elements[:cut]:
-            src = state & lower
-            state |= src << width + x | src << width - x
+        lower = (1 << top) - 1
+        state = _grow(1 << half_width, elements[:cut], width, lower)
         head = (state >> top).bit_count() if prefix else None
-        for x in elements[cut:]:
-            src = state & lower
-            state |= src << width + x | src << width - x
+        state = _grow(state, elements[cut:], width, lower)
         return head, state >> top, False, half_width
     seed, move = ((frozenset((0,)), _shift) if sparse
                   else (1 << half_width, _move))
@@ -489,21 +503,24 @@ def prefix_cardinalities(
     leaves)`` per parent of leaves: the candidates are ``prefix + (a,)``
     for a in the range ``leaves``, ``below`` and ``row`` are the prefix's
     rows h - 1 and h, and :func:`leaf_counts` gives each candidate's
-    count. No run is empty. A whole ``head`` is one run, of its last
-    element alone. The walk is depth first and keeps the DP rows
-    of each prefix, so a prefix shared by many candidates is processed
-    once. Every bitmap sits at the fixed offset ``h * max_element``, which
-    bounds every partial sum in the space, so the range guard runs once,
-    in :func:`admit_walk`, rather than once per candidate. Rows that can no
-    longer reach weight h are dropped, and a leaf forms only row h, when
-    its count is taken.
+    count. No run is empty: a head with no room for the elements still
+    to come yields none. A whole ``head``, whose rows ``_rows`` builds, is
+    one run, of its last element alone. Any other head is formed by the
+    walk's own loop (``_extend``) from its parent's packed rows, which
+    ``_grow`` builds from the seed. The walk is depth first and keeps the
+    DP rows of each prefix, so a prefix shared by many candidates is
+    processed once. Every bitmap sits at the fixed offset
+    ``h * max_element``, which bounds every partial sum in the space, so
+    the range guard runs once, in :func:`admit_walk`, rather than once per
+    candidate. Rows that can no longer reach weight h are dropped, and a
+    leaf forms only row h, when its count is taken.
 
     With a ``limit``, the walk is branch and bound. A prefix ``A_j`` longer
-    than ``head``, of j elements, is not extended, and none of its
-    candidates is yielded, when one of two floors on every completion
-    ``A`` of ``A_j`` exceeds ``limit``. With ``m = k - j`` elements still
-    to come and ``row_r`` the restricted signed r-fold sumset of ``A_j``
-    (the prefix's DP row r):
+    than ``head``, of j elements, j >= 2 below an empty head, is not
+    extended, and none of its candidates is yielded, when one of two
+    floors on every completion ``A`` of ``A_j`` exceeds ``limit``. With
+    ``m = k - j`` elements still to come and ``row_r`` the restricted
+    signed r-fold sumset of ``A_j`` (the prefix's DP row r):
 
         |h^+-A| >= |h^+-A_j| + 2hm                    (h <= j),
         |h^+-A| >= |row_{h-w}| + 2(w(m - w) + 1) - 1  (1 <= w <= min(h, m),
@@ -514,6 +531,18 @@ def prefix_cardinalities(
     can exceed it, and that table is the walk's only pruning rule. A
     child's capped rows are each formed alone, one shift-or of its
     parent's rows, before the child is formed.
+
+    The walk does not check the 1-element prefixes below an empty head,
+    and at a limit at or above the family's bound (3 <= h <= k - 1) no cap
+    would prune them: ``_caps(h, k, limit)[1]`` is empty. Their rows 0
+    and 1 hold 1 and 2 sums. With m = k - 1 the Minkowski floor caps row
+    0 at ``limit - 2(h(k - 1 - h) + 1) + 1`` and row 1 at
+    ``limit - 2((h - 1)(k - h) + 1) + 1``, and the 2h step holds only
+    from h elements on. At the positive bound ``2hk - h^2 + 1`` these
+    caps are ``h^2 + 2h`` and ``h^2 - 2h + 2k >= h^2 + 2``, and at the
+    zero bound, h lower, ``h^2 + h`` and ``h^2 - 3h + 2k >= h^2 - h + 2``,
+    so each is at least ``h^2 - h + 2 >= 8``. A sweep prunes at
+    ``_prune_limit``, never below the bound, from non-empty shard heads.
 
     Proof of the first, the 2h step: let ``T`` be the sum of the top h
     elements of ``A_j``, which is ``max h^+-A_j`` as the elements are
@@ -544,8 +573,7 @@ def prefix_cardinalities(
         dp = _rows(head[:-1], h, False, True, k, seed)
         return iter([(head[:-1], dp[h - 1], dp[h],
                       range(head[-1], head[-1] + 1))])
-    dp = _rows(head, h, False, True, k, seed)
-    return _extend(head, dp, h, max_element, k,
+    return _extend(head, seed, h, max_element, k,
                    ((),) * (k + 1) if limit is None else _caps(h, k, limit))
 
 
@@ -608,14 +636,6 @@ def _layout(h: int, k: int, max_element: int
             tuple(-(1 << max(h - k + j, 0) * width) for j in range(k + 1)))
 
 
-def _pack(dp: list[int], width: int) -> int:
-    """The rows ``dp`` packed into one int, row r at bit ``r * width``."""
-    state = 0
-    for r, row in enumerate(dp):
-        state |= row << r * width
-    return state
-
-
 def _child(state: int, src: int, a: int, width: int, mask: int) -> int:
     """The packed rows of a prefix extended by a, from the prefix's packed
     rows ``state`` and ``src``, its rows below h alone: row r + 1 gains
@@ -625,45 +645,45 @@ def _child(state: int, src: int, a: int, width: int, mask: int) -> int:
     return (state | src << width + a | src << width - a) & mask
 
 
-def _extend(head: tuple[int, ...], dp: list[int], h: int, max_element: int,
+def _extend(head: tuple[int, ...], seed: int, h: int, max_element: int,
             k: int, caps: Caps) -> Iterator[Run]:
-    """The walk below ``head``, whose rows are ``dp``, as runs; a child of
-    j elements whose row r holds more than its cap in ``caps[j]`` is not
-    extended.
+    """The walk below ``head``, from the walk's row 0 ``seed``, as runs; a
+    child of j elements whose row r holds more than its cap in ``caps[j]``
+    is not extended.
 
-    Below the head a prefix's rows are packed into one int, row r at bit
-    ``r * width``, so a child is one shift-or of its parent's state
-    (``_child``). Each new child's own children are checked against the
-    caps of their depth all at once, before any is formed, in the walk's
-    loop: for each ``(r, cap)``, lowest row first, the child's rows r - 1
-    and r are unpacked, and one comprehension keeps the elements whose
-    row r, one shift-or of those two, holds at most ``cap`` sums. The
-    check stops at the first empty list, and a child none of whose own
-    children passes is not kept. The head's children are checked the
-    same way before the loop. A parent of leaves is never packed: its
-    rows h - 1 and h are formed from three rows of its parent and yielded
-    with the range of its leaves, which the caller counts. The walk keeps
-    a stack with one frame per depth, ``(prefix, state, iterator over the
+    A prefix's rows are packed into one int, row r at bit ``r * width``,
+    so a child is one shift-or of its parent's state (``_child``). The
+    walk enters as the head's parent: the rows of ``head[:-1]`` are grown
+    from the seed in one call (``_grow``), and its one frame tries
+    ``head[-1]`` alone, so the loop forms the head, checks its children
+    and, for a parent of leaves, yields its run, as it does for every
+    prefix below. A head with no room for the elements to come yields no
+    run. The empty head's frame is the seed with its children, the
+    1-element prefixes, unchecked, and with k = 1 it is itself the parent
+    of leaves. Each new child's own children are checked against the caps
+    of their depth all at once, before any is formed, in the walk's loop:
+    for each ``(r, cap)``, lowest row first, the child's rows r - 1 and r
+    are unpacked, and one comprehension keeps the elements whose row r,
+    one shift-or of those two, holds at most ``cap`` sums. The check stops
+    at the first empty list, and a child none of whose own children
+    passes is not kept. A parent of leaves is never packed: its rows
+    h - 1 and h are formed from three rows of its parent and yielded with
+    the range of its leaves, which the caller counts. The walk keeps a
+    stack with one frame per depth, ``(prefix, state, iterator over the
     checked elements still to try next)``, rather than recursing, so k is
     not bounded by Python's recursion limit.
     """
-    start = head[-1] + 1 if head else 1
-    if len(head) == k - 1:
-        if start <= max_element:
-            yield head, dp[h - 1], dp[h], range(start, max_element + 1)
-        return
     width, row_mask, lower, keep = _layout(h, k, max_element)
-    state = _pack(dp, width)
-    j = len(head) + 1
-    children = range(start, max_element - k + j + 1)
-    for r, cap in caps[j]:
-        below = state >> (r - 1) * width & row_mask if r else 0
-        row = state >> r * width & row_mask
-        children = [a for a in children
-                    if (below << a | below >> a | row).bit_count() <= cap]
-        if not children:
+    if head:
+        if head[-1] > max_element - k + len(head):  # no room
             return
-    stack = [(head, state, iter(children))]
+        state = _grow(seed, head[:-1], width, lower) & keep[len(head) - 1]
+        stack = [(head[:-1], state, iter(head[-1:]))]
+    elif k == 1:  # the empty head is itself the parent of leaves
+        yield (), seed, 0, range(1, max_element + 1)
+        return
+    else:
+        stack = [((), seed, iter(range(1, max_element - k + 2)))]
     while stack:
         prefix, state, elements = stack[-1]
         j = len(prefix) + 1  # the size of a child

@@ -39,8 +39,8 @@ def record_paths(monkeypatch):
     """The list, filled as passes run, of the path each single-set pass
     takes: its ``_sparse`` call appends "set-based" or "packed", and a
     bitset pass that then calls ``_rows`` is "rows". Only for code that
-    runs no sweep walk, whose head also calls ``_rows``. A ``_sparse``
-    forced before is kept."""
+    gives no sweep walk a whole set, whose rows ``_rows`` also builds. A
+    ``_sparse`` forced before is kept."""
     paths = []
     choose = engine._sparse
 
@@ -597,8 +597,7 @@ class TestPackedWalk:
         """The packed rows of ``prefix``, each prefix of it formed from the
         one before by ``_child``, as the walk forms them."""
         width, _, lower, keep = engine._layout(h, k, max_element)
-        state = engine._pack(engine._rows((), h, False, True, k,
-                                          1 << h * max_element), width)
+        state = 1 << h * max_element  # the seed, row 0 alone
         for j, a in enumerate(prefix, 1):
             src = state & lower if masked else state
             state = engine._child(state, src, a, width, keep[j])
@@ -668,13 +667,16 @@ class TestPrefixWalk:
                             assert walked == expected, (head, h, max_element, k)
 
     def test_head_may_be_short_or_whole(self):
-        for head in ((), (3,), (0, 2, 5, 6)):
+        # (1, 4, 6) is a parent of leaves, which the walk forms from (1, 4)
+        for head in ((), (3,), (1, 4, 6), (0, 2, 5, 6)):
             walked = walk(head, 3, 9, 4)
             # an empty head starts the walk at 1
             tails = itertools.combinations(
                 range(head[-1] + 1 if head else 1, 10), 4 - len(head))
             assert walked == [(head + t, sumset_cardinality(
                 IntegerSet(head + t), 3, RS)) for t in tails]
+        # at k = 1 the empty head is the parent of leaves: {a} has sums +-a
+        assert walk((), 1, 9, 1) == [((a,), 2) for a in range(1, 10)]
 
     def test_whole_head_is_one_run_of_its_last_element(self):
         # k = 1 as in theorem11-small, and every h up to k
@@ -687,6 +689,23 @@ class TestPrefixWalk:
                 assert list(run[3]) == [head[-1]]
                 assert leaf_counts(run) == [sumset_cardinality(
                     IntegerSet(head), h, RS)], (head, h)
+
+    def test_head_with_no_room_yields_no_run(self):
+        # a j-element head leaves room for the k - j elements to come only
+        # if it ends at or below M - k + j; at j = k - 1 the head without
+        # room ends at M
+        for fixed in ((), (0,)):
+            for k, max_element in ((4, 9), (6, 11)):
+                for h in range(1, k + 1):
+                    for j in range(len(fixed) + 1, k):
+                        last = max_element - k + j
+                        rest = fixed + tuple(range(1, j - len(fixed)))
+                        for limit in (None, 10**6):
+                            assert list(prefix_cardinalities(
+                                rest + (last + 1,), h, max_element, k,
+                                limit)) == [], (rest, h, k)
+                            assert list(prefix_cardinalities(
+                                rest + (last,), h, max_element, k, limit))
 
     def test_limit_prunes_only_subtrees_above_it(self):
         left_out = 0
@@ -790,6 +809,22 @@ class TestPrefixWalk:
         assert {j: dict(pairs) for j, pairs in enumerate(table) if pairs} == caps
         # each depth lists its rows lowest first
         assert all(list(dict(pairs)) == sorted(dict(pairs)) for pairs in table)
+
+    def test_no_cap_checks_a_1_element_prefix_at_the_bound(self):
+        # the walk leaves the empty head's children unchecked, so no sweep
+        # would prune them: caps rise with the limit, and at the bound
+        # depth 1's caps are at least h^2 - h + 2 against rows of 1 and 2
+        checked = 0
+        for family in Family:
+            for k in range(4, 17):
+                for h in range(3, k):
+                    try:
+                        bound = family.optimal_bound(h, k).value
+                    except ValueError:  # the zero family needs k >= 5
+                        continue
+                    assert _caps(h, k, bound)[1] == (), (family, h, k)
+                    checked += 1
+        assert checked == 91 + 90  # h in [3, k - 1], k >= 4 or k >= 5
 
     def test_no_cap_prunes_nothing(self):
         # a 4-element prefix has at most C(4, 3) * 2^3 = 32 sums in row 3

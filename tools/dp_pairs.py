@@ -5,7 +5,7 @@ Usage:
     python tools/dp_pairs.py REV
 
 The script extracts the ``src`` tree of ``git archive REV``, the parent,
-into a temporary directory and, for each of three batches, runs 10 pairs:
+into a temporary directory and, for each of five batches, runs 10 pairs:
 one fresh interpreter on the parent's ``src`` and one on the working
 tree's, the change. The side that runs first alternates from pair to
 pair. Each interpreter runs three entry points of ``signedsum.engine`` on

@@ -16,16 +16,13 @@ directory, so nothing is written inside the repository.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
 import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from pairs import ROOT, extract
 
 
 def main() -> int:
@@ -33,17 +30,10 @@ def main() -> int:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python tools/grid_diff.py REV", file=sys.stderr)
         return 2
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", sys.argv[1],
-                              "src"], capture_output=True)
-    if archive.returncode != 0:
-        sys.stderr.write(archive.stderr.decode(errors="replace"))
-        return 2
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            if hasattr(tarfile, "data_filter"):
-                tar.extraction_filter = tarfile.data_filter
-            tar.extractall(tmp)
+        if not extract(sys.argv[1], tmp, "src"):
+            return 2
         runs = [subprocess.Popen([sys.executable,
                                   str(ROOT / "tools" / "cli_grid.py"), src],
                                  stdout=subprocess.PIPE, cwd=tmp, env=env)

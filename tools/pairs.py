@@ -1,6 +1,7 @@
 """The parts that tools/bench_pairs.py, tools/walk_pairs.py and
 tools/dp_pairs.py share: a revision's tree from ``git archive``, one timed
-run in a fresh interpreter and the pair rule's figures.
+run in a fresh interpreter and the pair rule's figures. tools/grid_diff.py
+takes the revision's tree from here too.
 
 A pair is one run on the parent, side 0, and one on the change, side 1.
 The side that runs first alternates, the parent first in pair 0. The
