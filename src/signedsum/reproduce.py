@@ -137,9 +137,11 @@ def theorem11_small() -> list[TargetRow]:
                 bound = bounds.general_bound(h, k, zero_in_a).value
                 violations = 0
                 equalities = 0
-                # the k-subsets of [1, 12], or {0} plus (k-1)-subsets of [1, 11]
+                # the k-subsets of [1, 12], or {0} plus (k-1)-subsets of
+                # [1, 11]; a pruned set has more sums than the bound, so it
+                # is neither a violation nor an equality
                 m = 11 if zero_in_a else 12
-                for run in prefix_cardinalities(family.fixed, h, m, k):
+                for run in prefix_cardinalities(family.fixed, h, m, k, bound):
                     counts = leaf_counts(run)
                     low = min(counts)
                     if low < bound:

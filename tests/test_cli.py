@@ -373,6 +373,13 @@ class TestSumsetCommand:
         assert run_cli(capsys, "sumset", *argv.split()) == (
             2, "", "error: range overflow\n")
 
+    def test_wide_dilate_is_refused_by_its_own_bitmap(self, capsys):
+        # the pass would run on {1, 2}, but the range guard sizes the set
+        # as given: two rows of 4 * 10^9 + 1 bits
+        assert run_cli(capsys, "sumset", "--set", "1000000000,2000000000",
+                       "--h", "1", "--op", "classical") == (
+            2, "", "error: range overflow\n")
+
     def test_wide_short_restricted_set_is_sized_by_its_largest(self, capsys):
         # the sum of all 40 elements, 1.2 * 10^9, would size 3 rows of
         # 2.4 * 10^9 bits; every sum of 2 lies within +-60,000,077

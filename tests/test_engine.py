@@ -2,7 +2,7 @@ import importlib.util
 import itertools
 import random
 from functools import cache
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -302,8 +302,9 @@ class TestStructuralProperties:
 
 # A few elements near 10^5 to 10^7, as the checkers of the paper's
 # restricted-h theorems see them: odd-AP and zero-based AP dilates, a
-# superincreasing 6-set, a superincreasing-tail 5-set, a generic 8-set and
-# a set with negatives and zero.
+# superincreasing 6-set, a superincreasing-tail 5-set, a generic 8-set (a
+# dilate by 2) and a set with negatives and zero. The passes over the two
+# AP dilates run on their primitive sets, on the bitset.
 WIDE_SHORT_SETS = [
     [63_001 * (2 * i + 1) for i in range(8)],
     [138_001 * i for i in range(8)],
@@ -323,6 +324,82 @@ class TestWideShortSets:
             fast = compute_sumset(a, h, op)
             assert fast.sums == compute_sumset_naive(a, h, op).sums, (h, op)
             assert sumset_cardinality(a, h, op) == fast.cardinality
+
+
+# primitive sets, with 0, mixed in sign and of one element, and the
+# dilations applied to them: undivided, the widest dilates would take the
+# set-based DP, and 101 sends [1, 3, 5, 7, 9] at h = 4 to the row list,
+# just past PACKED_BITS
+PRIMITIVE_SETS = [[1], [0, 1], [-1, 2], [-5, 2, 3], [0, 1, 2, 4, 6],
+                  [1, 3, 5, 7, 9], [-4, -1, 0, 3, 7]]
+DILATIONS = (2, 3, 10, 101, 1009, 100_003)
+
+
+def undivided_path(a, h, op):
+    """The path a pass over A as given would take, without reducing A to
+    its primitive set."""
+    half_width = _check_instance(a, h, op)
+    if _sparse(a.k, h, op, half_width):
+        return "set-based"
+    packed = op is RS and (h + 1) * (2 * half_width + 1) <= PACKED_BITS
+    return "packed" if packed else "rows"
+
+
+class TestDilates:
+    def test_entry_points_match_the_oracle_on_the_primitive_path(
+            self, monkeypatch):
+        # A pass over dA runs on A: it takes A's path, whatever width dA
+        # has, and its sums are d times A's.
+        paths = record_paths(monkeypatch)
+        undivided = {d: set() for d in DILATIONS}
+        for elements in PRIMITIVE_SETS:
+            base = make_set(elements)
+            for op in Operator:
+                for h in range(1, base.k + 1 if op.restricted
+                               else base.k + 2):
+                    del paths[:]
+                    sumset_cardinality(base, h, op)
+                    calls = 3 if op is RS and h < base.k else 2
+                    primitive = paths * calls
+                    for d in DILATIONS:
+                        a = dilate(base, d)
+                        undivided[d].add((op is RS,
+                                          undivided_path(a, h, op)))
+                        naive = compute_sumset_naive(a, h, op)
+                        del paths[:]
+                        assert compute_sumset(a, h, op) == naive, (a, h, op)
+                        assert (sumset_cardinality(a, h, op)
+                                == naive.cardinality)
+                        if calls == 3:
+                            head = compute_sumset_naive(a.prefix(h + 1), h,
+                                                        RS).cardinality
+                            assert prefix_sumsets(a, h) == (
+                                head, naive.cardinality), (a, h)
+                        assert paths == primitive, (a, h, op)
+        # undivided, the widest dilates would all be set-based, and some
+        # restricted signed ones at d = 101 would take the row list
+        assert {path for _, path in undivided[100_003]} == {"set-based"}
+        assert (True, "rows") in undivided[101]
+
+    def test_zero_alone_is_not_divided(self):
+        # gcd({0}) is 0, and the pass runs on {0} as given
+        a = make_set([0])
+        for op in Operator:
+            for h in (1,) if op.restricted else (1, 2, 5):
+                assert compute_sumset(a, h, op) == compute_sumset_naive(
+                    a, h, op) == ((0,), 1, 0, 0)
+                assert sumset_cardinality(a, h, op) == 1
+
+    def test_a_wide_dilate_is_refused_by_its_own_bitmap(self):
+        # {10^9, 2 * 10^9} would run on {1, 2}, but the range guard sizes
+        # the set as given, so every refusal is the undivided one's
+        a = make_set([10**9, 2 * 10**9])
+        for op in Operator:
+            for call in (compute_sumset, sumset_cardinality):
+                with pytest.raises(ValueError, match="range overflow"):
+                    call(a, 1, op)
+        with pytest.raises(ValueError, match="range overflow"):
+            prefix_sumsets(a, 1)
 
 
 # loop_cost makes about a million calls, over more (j, w, op) keys than the
@@ -346,8 +423,9 @@ def loop_cost(k, h, op, cap=None):
 
 class TestBackendChoice:
     def test_wide_short_set_takes_the_set_based_dp(self):
-        a = make_set(WIDE_SHORT_SETS[0])  # an odd-AP dilate 8-set near 10^6
-        assert _sparse(8, 5, RS, _check_instance(a, 5, RS))
+        a = make_set(WIDE_SHORT_SETS[2])  # a superincreasing 6-set near 10^6
+        assert _sparse(6, 5, RS, _check_instance(a, 5, RS))
+        assert engine._pass(a, 5, RS)[2]
 
     def test_narrow_set_takes_the_bitset_dp(self):
         a = make_set([1, 3, 5, 7, 9])
@@ -362,24 +440,31 @@ class TestBackendChoice:
         capsys.readouterr()
         assert paths and set(paths) == {"packed"}
 
-    def test_verify_wide_batch_takes_the_set_based_dp(self, monkeypatch):
+    def test_verify_wide_batch_takes_the_set_based_dp_on_primitive_sets(
+            self, monkeypatch):
         # the benchmark's verify-wide sets for seeds 0 to 2, through the
-        # five checkers as its worker runs them
+        # five checkers as its worker runs them: every pass over a
+        # primitive set is set-based, and every pass over one of the two
+        # AP dilates, their prefixes and progression tails, runs on its
+        # primitive set, which the bitset takes
         spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                       WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         paths = record_paths(monkeypatch)
+        taken = {False: set(), True: set()}
         for seed in range(3):
             for item in workloads.verify_wide_batch(seed):
                 a, h = make_set(item["set"]), item["h"]
+                del paths[:]
                 verify.check_direct(a, h)
                 verify.check_inverse(a, h)
                 verify.check_prefix_decomposition(a, h)
                 verify.check_partial_inverse(a, h)
                 if item["special"]:
                     verify.check_special_direct(a, h)
-        assert paths and set(paths) == {"set-based"}
+                taken[gcd(*a.elements) > 1].update(paths)
+        assert taken == {False: {"set-based"}, True: {"packed", "rows"}}
 
     def test_cost_is_the_term_by_term_count(self):
         for op in Operator:
@@ -442,8 +527,7 @@ class TestPrefixSumsetCardinality:
                                            [-3, 1, 4, 6, 10], [2, 7]]:
             a = make_set(elements)
             for h in range(1, a.k):
-                cases.add((_sparse(a.k, h, RS, _check_instance(a, h, RS)),
-                           a.k >= h + 2))
+                cases.add((engine._pass(a, h, RS)[2], a.k >= h + 2))
                 assert prefix_sumsets(a, h) == (
                     sumset_cardinality(a.prefix(h + 1), h, RS),
                     sumset_cardinality(a, h, RS)), (elements, h)
@@ -535,19 +619,23 @@ def test_every_entry_point_matches_the_oracle_on_either_backend(
 
 
 def threshold_set(rng, k, h, limit, packed):
-    """A k-set, mixed in sign and with 0 about half the time, whose
-    restricted signed state at fold h holds the most bits up to ``limit``,
-    or with ``packed`` false the fewest above it: the sum of its h largest
-    |a_i| is the half-width that gives those bits, which its largest
-    element, drawn last, makes up."""
+    """A primitive k-set, mixed in sign and with 0 about half the time,
+    whose restricted signed state at fold h holds the most bits up to
+    ``limit``, or with ``packed`` false the fewest above it: the sum of its
+    h largest |a_i| is the half-width that gives those bits, which its
+    largest element, drawn last, makes up. A set with gcd above 1 is drawn
+    again, as the pass runs on A / gcd(A), whose state is narrower."""
     half_width = (limit // (h + 1) - 1) // 2 + (not packed)
     span = half_width // (h + 1)
-    rest = rng.sample(range(-span, span + 1), k - 1)
-    if rng.random() < 0.5 and 0 not in rest:
-        rest[0] = 0
-    largest = half_width - sum(sorted(map(abs, rest))[-(h - 1):] if h > 1
-                               else ())
-    return make_set(rest + [rng.choice((1, -1)) * largest])
+    while True:
+        rest = rng.sample(range(-span, span + 1), k - 1)
+        if rng.random() < 0.5 and 0 not in rest:
+            rest[0] = 0
+        largest = half_width - sum(sorted(map(abs, rest))[-(h - 1):]
+                                   if h > 1 else ())
+        elements = rest + [rng.choice((1, -1)) * largest]
+        if gcd(*elements) == 1:
+            return make_set(elements)
 
 
 def test_entry_points_match_the_oracle_on_both_sides_of_the_threshold(

@@ -13,7 +13,9 @@ import pytest
 
 from signedsum import (Family, IntegerSet, Operator, SearchSpace,
                        StructureKind, check_direct, classify_structure,
-                       random_probe, search, sumset_cardinality, sweep)
+                       random_probe, reproduce, search, sumset_cardinality,
+                       sweep)
+from signedsum.bounds import general_bound
 from signedsum.engine import admit_walk, prefix_cardinalities
 from signedsum.search import (CSV_HEADER, EMIT_MODES, FILTER_IDS, ProbeSummary,
                               SearchRecord)
@@ -776,6 +778,41 @@ def _assert_shard_3_dies_in_a_worker(setup):
 
 
 class TestBranchAndBound:
+    def test_theorem11_small_prunes_at_its_bound_exactly(self, monkeypatch):
+        # The target walks with its bound as the limit. At h = 2 the walk
+        # prunes, and a brute force over itertools gives the same
+        # violations and equalities, as a pruned set has more sums than
+        # the bound.
+        leaves = {1: 0, 2: 0}
+        walk = reproduce.prefix_cardinalities
+
+        def counted(head, h, m, k, limit):
+            for run in walk(head, h, m, k, limit):
+                leaves[h] += len(run[3])
+                yield run
+
+        monkeypatch.setattr(reproduce, "prefix_cardinalities", counted)
+        details = {row.label: row.detail
+                   for row in reproduce.theorem11_small()}
+        spaces = 0
+        for k in range(2, 7):
+            for family in Family:
+                zero_in_a = family is Family.ZERO_BASED
+                bound = general_bound(2, k, zero_in_a).value
+                free = itertools.combinations(
+                    range(1, 12 if zero_in_a else 13), k - zero_in_a)
+                cards = [sumset_cardinality(IntegerSet(family.fixed + f), 2,
+                                            Operator.RESTRICTED_SIGNED)
+                         for f in free]
+                spaces += len(cards)
+                branch = "0 in A" if zero_in_a else "0 not in A"
+                assert details[
+                    f"h=2 k={k} ({branch}): no violations and "
+                    "equality attained"] == (
+                    f"violations={sum(c < bound for c in cards)} "
+                    f"equalities={cards.count(bound)}")
+        assert leaves[2] < spaces
+
     def test_pruned_sweeps_match_unpruned_on_every_small_space(self):
         spaces = list(_every_small_space())
         pruned = 0

@@ -16,7 +16,9 @@ a fixed number of times over: ``sumset_cardinality``, ``prefix_sumsets``
 ``prefix_sumsets``, on the items with 4 <= h <= k - 1. The batches are:
 
     verify-wide     the 21 sets of perfbench's verify-wide batches for
-                    seeds 0 to 2 at h=5, which take the set-based backend
+                    seeds 0 to 2 at h=5: the 15 primitive ones take the
+                    set-based backend, and the 6 AP dilates, run on their
+                    primitive sets, the bitset
     narrow          200 seeded sets shaped as ``reproduce lemma-audit``'s:
                     k 5 to 8, h 3 to k-1, elements in [1, 40], half with
                     0; they take the packed bitset pass
@@ -26,20 +28,21 @@ a fixed number of times over: ``sumset_cardinality``, ``prefix_sumsets``
                     the widest that the bitset backend runs packed
     boundary-above  as boundary-below, within 10% above it: the narrowest
                     that it runs on the row list
-    wide-bitset     the 16 elements 1.2*10^6 + 1000 i at h=8, on the
-                    bitset backend's row list
+    wide-bitset     the 16 elements 1.2*10^6 + 1000 i + 1 at h=8, a
+                    primitive set, on the bitset backend's row list
 
 Each interpreter times each entry point alone, not its start-up, and
-reports which backends its batch took, by ``engine._sparse``, which both
-sides share: the packed pass and the row list are the one bitset backend
-there. For each batch and entry point the
-script prints the parent's median time and quartiles, the change's
+reports which backends its batch took, by the ``sparse`` flag of its own
+``engine._pass``, so each side names the backend it ran: the packed pass
+and the row list are the one bitset backend there. For each batch the
+script prints the backends of each side, and for each entry point the
+parent's median time and quartiles, the change's
 median, the change's wins out of the pairs (the faster side of a pair wins
 it) and whether the medians differ by more than the parent's interquartile
 range, by the rule of ``tools/pairs.py``. It exits 1 if any output (each
-count, sumset, condition check and backend) differs between the sides in
-any run, 0 otherwise, and 2 on a usage error, a revision ``git archive``
-cannot read or a run that fails. Neither side writes bytecode, and both
+count, sumset and condition check) differs between the sides in any run,
+0 otherwise, and 2 on a usage error, a revision ``git archive`` cannot
+read or a run that fails. Neither side writes bytecode, and both
 run in the temporary directory, so nothing is written inside the
 repository.
 """
@@ -78,7 +81,7 @@ def batches() -> dict[str, tuple[int, list[tuple[list[int], int]]]]:
     return {"verify-wide": (10, wide), "narrow": (20, narrow),
             "boundary-below": (5, boundary(rng, True)),
             "boundary-above": (5, boundary(rng, False)),
-            "wide-bitset": (3, [([1_200_000 + 1000 * i for i in range(16)],
+            "wide-bitset": (3, [([1_200_001 + 1000 * i for i in range(16)],
                                  8)])}
 
 
@@ -123,9 +126,7 @@ DP = """if True:
             out = [call(a, h) for a, h in batch]
         seconds[name] = perf_counter() - start
         digest.update(json.dumps(out).encode())
-    backends = sorted({engine._sparse(a.k, h, rs,
-                                      engine._check_instance(a, h, rs))
-                       for a, h in sets})
+    backends = sorted({engine._pass(a, h, rs)[2] for a, h in sets})
     print(json.dumps({"seconds": seconds, "digest": digest.hexdigest(),
                       "backends": ["set-based" if b else "bitset"
                                    for b in backends]}))
@@ -154,13 +155,15 @@ def main() -> int:
                     for entry, seconds in result.pop("seconds").items():
                         times[entry][side].append(seconds)
                     results[side] = result
-                if results[0] != results[1]:
+                if results[0]["digest"] != results[1]["digest"]:
                     same = False
                     print(f"{name} pair {i}: the outputs differ",
                           file=sys.stderr)
             repeat, items = batch
-            print(f"{name}: {len(items)} sets x {repeat}, "
-                  f"{'/'.join(results[1]['backends'])}")
+            parent, change = ("/".join(results[side]["backends"])
+                              for side in (0, 1))
+            print(f"{name}: {len(items)} sets x {repeat}, parent {parent}, "
+                  f"change {change}")
             for entry in ENTRIES:
                 print(f"  {entry}: {figures(*times[entry]).text('.4f', ' s')}")
     return 0 if same else 1
